@@ -22,14 +22,14 @@ sharded:
 	REPRO_SHARDS=4 REPRO_WORKERS=4 pytest tests/search/ tests/serve/ tests/engines/ -q
 	REPRO_SHARDS=4 python tools/serve_smoke.py
 
-# Deterministic shard chaos: the search/serve suites and the serving
-# gate with a *recoverable* search.shard fault plan injected into every
-# scatter.  Faults recover inside the retry ladder, so every
+# Deterministic shard chaos: the search/serve/engine suites and the
+# serving gate with a *recoverable* search.shard fault plan injected
+# into every scatter.  Faults recover inside the retry ladder, so every
 # byte-identity assertion — and the pinned serve digest — must still
 # hold.  (Unrecoverable plans are exercised by the partial-merge and
 # chaos-serve suites themselves.)
 shard-chaos:
-	REPRO_SHARDS=4 REPRO_CHAOS="search.shard:0.3:2:error" REPRO_CHAOS_SEED=5 pytest tests/search/ tests/serve/ -q
+	REPRO_SHARDS=4 REPRO_CHAOS="search.shard:0.3:2:error" REPRO_CHAOS_SEED=5 pytest tests/search/ tests/serve/ tests/engines/ -q
 	REPRO_SHARDS=4 REPRO_CHAOS="search.shard:0.3:2:error" REPRO_CHAOS_SEED=5 python tools/serve_smoke.py
 
 lint: detlint conclint locklint cachelint

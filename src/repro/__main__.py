@@ -32,7 +32,7 @@ import sys
 import time
 
 from repro.core.calibration import calibration_report
-from repro.core.config import StudyConfig, WorkloadSizes
+from repro.core.config import EXECUTORS, StudyConfig, WorkloadSizes
 from repro.core.experiments import EXPERIMENTS, run_experiment
 from repro.core.export import results_to_json
 from repro.core.report import render_stats
@@ -56,6 +56,13 @@ def _positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _non_negative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0")
     return value
 
 
@@ -85,27 +92,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     study_options.add_argument(
         "--executor",
-        choices=("process", "thread"),
+        choices=EXECUTORS,
         default="process",
         help="pool kind for --workers > 1 (default: process)",
     )
     study_options.add_argument(
         "--shards",
-        type=_positive_int,
+        type=_non_negative_int,
         default=None,
         metavar="N",
         help="document-partition search across N shards "
         "(default: $REPRO_SHARDS or 0 = single index; results are "
         "identical for any value)",
-    )
-    study_options.add_argument(
-        "--resident-shards",
-        action="store_true",
-        default=None,
-        help="keep each search shard resident in a supervised worker "
-        "process (requires --shards >= 1; default: $REPRO_RESIDENT_SHARDS; "
-        "results are identical, the scatter just crosses a real process "
-        "boundary)",
     )
     study_options.add_argument(
         "--corpus-scale",
@@ -272,8 +270,6 @@ def _config(args: argparse.Namespace) -> StudyConfig:
         kwargs["executor"] = args.executor
     if getattr(args, "shards", None) is not None:
         kwargs["search_shards"] = args.shards
-    if getattr(args, "resident_shards", None) is not None:
-        kwargs["resident_shards"] = args.resident_shards
     if getattr(args, "corpus_scale", None) is not None:
         kwargs["corpus_scale"] = args.corpus_scale
     return StudyConfig(**kwargs)

@@ -11,6 +11,7 @@ import datetime as dt
 import os
 from dataclasses import dataclass, field
 
+from repro.forkpool import EXECUTORS
 from repro.webgraph.dates import DEFAULT_STUDY_DATE
 
 __all__ = [
@@ -19,14 +20,10 @@ __all__ = [
     "WorkloadSizes",
     "cache_witness_enabled",
     "default_chaos_plan",
-    "default_resident_shards",
     "default_search_shards",
     "default_workers",
     "lock_witness_enabled",
 ]
-
-#: Executor kinds the study runner accepts.
-EXECUTORS = ("process", "thread")
 
 
 def default_workers() -> int:
@@ -60,20 +57,6 @@ def default_search_shards() -> int:
         return max(0, int(raw)) if raw else 0
     except ValueError:
         return 0
-
-
-def default_resident_shards() -> bool:
-    """Whether ``REPRO_RESIDENT_SHARDS=1`` asked for resident workers.
-
-    When on (and ``search_shards >= 1``), worlds assemble around
-    :class:`repro.search.shardexec.ResidentShardedSearchEngine`: each
-    shard's frozen index lives in a supervised long-lived worker
-    process and queries scatter over the process boundary.  Results are
-    float-identical to the in-process sharded engine, so this is
-    another env hook that flips a whole CI leg without touching call
-    sites.
-    """
-    return os.environ.get("REPRO_RESIDENT_SHARDS", "") == "1"
 
 
 def default_chaos_plan() -> tuple[str, int]:
@@ -178,14 +161,10 @@ class StudyConfig:
     #: equal to single-shard, so two configs differing only in shard
     #: topology describe the same study.
     search_shards: int = field(default_factory=default_search_shards, compare=False)
-    #: Keep each shard resident in a supervised worker process
-    #: (:class:`repro.search.shardexec.ResidentShardedSearchEngine`).
-    #: Only meaningful with ``search_shards >= 1``; excluded from
-    #: equality/hash like the other execution-strategy knobs because the
-    #: resident engine is float-exact equal to the in-process one.
-    resident_shards: bool = field(
-        default_factory=default_resident_shards, compare=False
-    )
+    #: Retired: shards always score in-process.  Kept only so existing
+    #: ``resident_shards=False`` call sites still construct; ``True``
+    #: is rejected.
+    resident_shards: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.corpus_scale <= 0:
@@ -198,3 +177,8 @@ class StudyConfig:
             )
         if self.search_shards < 0:
             raise ValueError("search_shards must be non-negative")
+        if self.resident_shards:
+            raise ValueError(
+                "resident_shards is no longer supported: search shards "
+                "always run in-process"
+            )

@@ -30,12 +30,11 @@ exploits both facts:
   --stats``.
 
 Process pools use the ``fork`` start method and ship the world to
-workers by inheritance (a module-level global set just before the pool
-forks), so nothing as large as a corpus is ever pickled; only query
-chunks go in and answer lists come back.  On platforms without ``fork``
-the runner degrades to threads — with a :class:`RuntimeWarning` and the
-effective executor recorded in :class:`RunStats`, so degraded runs are
-visible.
+workers by inheritance (:func:`repro.forkpool.fork_inherit`), so
+nothing as large as a corpus is ever pickled; only query chunks go in
+and answer lists come back.  On platforms without ``fork`` the runner
+degrades to threads — with a :class:`RuntimeWarning` and the effective
+executor recorded in :class:`RunStats`, so degraded runs are visible.
 
 Resilience (see :mod:`repro.resilience`): when the world carries an
 installed :class:`~repro.resilience.context.ResilienceContext`, the
@@ -52,11 +51,9 @@ ones.  Without a context, failures propagate exactly as before — as a
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-import warnings
 from collections.abc import Callable, Hashable, Iterator, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -64,6 +61,7 @@ from typing import TYPE_CHECKING, Any
 from repro.cachewitness import witness_for
 from repro.engines.base import Answer
 from repro.entities.queries import Query
+from repro.forkpool import EXECUTORS, fork_inherit, inherited
 from repro.llm.rng import derive_seed
 from repro.lockorder import witness_lock
 from repro.resilience.context import ResilienceContext, ResilienceEvents
@@ -302,12 +300,6 @@ class RunStats:
 # ----------------------------------------------------------------------
 # Worker-side entry points
 
-#: World inherited by forked pool workers.  Set immediately before the
-#: pool is created and cleared right after it shuts down; ``fork``
-#: snapshots it into each child, so the corpus/index never crosses a
-#: pipe.
-_WORKER_WORLD: "World | None" = None
-
 
 class ChunkExecutionError(RuntimeError):
     """A worker chunk failed with containment disabled (fail-fast path).
@@ -369,9 +361,7 @@ def _answer_chunk(
     the worker-local event/quarantine deltas; without, the plain answer
     list (byte-for-byte the historical protocol).
     """
-    world = _WORKER_WORLD
-    if world is None:  # pragma: no cover - defensive; fork guarantees it
-        raise RuntimeError("worker has no inherited world")
+    world: "World" = inherited()
     ctx = world.resilience
     if ctx is None:
         return _execute_chunk(world, engine_name, queries, attempt)
@@ -395,10 +385,6 @@ def _degraded_answer(engine_name: str, query: Query) -> Answer:
     citations and no ranking — analyses see the cell as missing data.
     """
     return Answer(engine=engine_name, query_id=query.id, text="", citations=())
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +438,7 @@ class StudyRunner:
         self.executor = config.executor if executor is None else executor
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.executor not in ("process", "thread"):
+        if self.executor not in EXECUTORS:
             raise ValueError(f"unknown executor {self.executor!r}")
         self.stats = stats or RunStats(self.workers, self.executor)
         self._journal = journal
@@ -572,16 +558,16 @@ class StudyRunner:
     # Pooled path
 
     def _submit_chunk(
-        self, pool, use_processes: bool, name: str, chunk: list[Query], attempt: int
+        self, pool, forked: bool, name: str, chunk: list[Query], attempt: int
     ) -> Future:
-        if use_processes:
+        if forked:
             return pool.submit(_answer_chunk, name, chunk, attempt)
         return pool.submit(_execute_chunk, self._world, name, chunk, attempt)
 
     def _collect_chunk(
         self,
         pool,
-        use_processes: bool,
+        forked: bool,
         name: str,
         chunk: list[Query],
         future: Future,
@@ -600,7 +586,7 @@ class StudyRunner:
                     ctx.clock.sleep(delay)
                     ctx.events.bump("chunk_retries")
                     attempt += 1
-                    future = self._submit_chunk(pool, use_processes, name, chunk, attempt)
+                    future = self._submit_chunk(pool, forked, name, chunk, attempt)
                     continue
                 # Chunk-level retries exhausted: salvage the chunk in the
                 # parent, query by query, quarantining only what must be.
@@ -619,19 +605,8 @@ class StudyRunner:
     def _answers_pooled(
         self, queries: list[Query], ctx: ResilienceContext | None
     ) -> dict[str, list[Answer]]:
-        global _WORKER_WORLD
         engines = self._world.engines
         chunks = self._chunks(queries)
-        use_processes = self.executor == "process" and _fork_available()
-        if self.executor == "process" and not use_processes:
-            warnings.warn(
-                "fork start method unavailable; StudyRunner degrading from the "
-                "process executor to threads (results are identical, sharing "
-                "semantics differ)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        self.stats.effective_executor = "process" if use_processes else "thread"
 
         # Resume: chunks already journalled replay without touching the pool.
         keys: dict[tuple[str, int], str] = {}
@@ -648,45 +623,28 @@ class StudyRunner:
 
         futures: dict[tuple[str, int], Future] = {}
         fresh: dict[tuple[str, int], tuple[list[Answer], bool]] = {}
-        if use_processes:
-            # The one allowlisted shared-global write (see conclint
-            # CONC001): publish the world for fork inheritance, retract
-            # it in the outermost finally no matter what fails.
-            _WORKER_WORLD = self._world
-        try:
-            # Pool creation sits inside the try: if it fails (fd/process
-            # limits), the handshake global must still be retracted, or
-            # a stale world would leak into every later fork.
-            if use_processes:
-                pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                )
-            else:
-                pool = ThreadPoolExecutor(max_workers=self.workers)
-            try:
-                for name in engines:
-                    for index, chunk in enumerate(chunks):
-                        if (name, index) in replayed:
-                            continue
-                        futures[(name, index)] = self._submit_chunk(
-                            pool, use_processes, name, chunk, 1
-                        )
-                # Collection in submission order — not completion order —
-                # is what makes the output independent of scheduling.
-                for name in engines:
-                    for index, chunk in enumerate(chunks):
-                        slot = (name, index)
-                        if slot in replayed:
-                            continue
-                        fresh[slot] = self._collect_chunk(
-                            pool, use_processes, name, chunk, futures[slot], ctx
-                        )
-            finally:
-                pool.shutdown()
-        finally:
-            if use_processes:
-                _WORKER_WORLD = None
+        with fork_inherit(self._world, self.executor, self.workers) as (
+            pool,
+            forked,
+        ):
+            self.stats.effective_executor = "process" if forked else "thread"
+            for name in engines:
+                for index, chunk in enumerate(chunks):
+                    if (name, index) in replayed:
+                        continue
+                    futures[(name, index)] = self._submit_chunk(
+                        pool, forked, name, chunk, 1
+                    )
+            # Collection in submission order — not completion order —
+            # is what makes the output independent of scheduling.
+            for name in engines:
+                for index, chunk in enumerate(chunks):
+                    slot = (name, index)
+                    if slot in replayed:
+                        continue
+                    fresh[slot] = self._collect_chunk(
+                        pool, forked, name, chunk, futures[slot], ctx
+                    )
 
         if self._journal is not None:
             for slot, (chunk_answers, clean) in fresh.items():

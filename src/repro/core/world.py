@@ -95,18 +95,7 @@ class World:
         if config.search_shards:
             # Document-partitioned substrate: float-exact equal to the
             # single-index engine, built in parallel when workers > 1.
-            # With resident_shards each shard additionally lives in a
-            # supervised long-lived worker process (same floats, a real
-            # process boundary for the scatter to survive).
-            if config.resident_shards:
-                from repro.search.shardexec import ResidentShardedSearchEngine
-
-                shard_engine_type: type[ShardedSearchEngine] = (
-                    ResidentShardedSearchEngine
-                )
-            else:
-                shard_engine_type = ShardedSearchEngine
-            search_engine: SearchEngine = shard_engine_type(
+            search_engine: SearchEngine = ShardedSearchEngine(
                 corpus,
                 registry,
                 shards=config.search_shards,

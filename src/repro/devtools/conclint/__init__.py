@@ -11,7 +11,7 @@ handed to an ``Executor.submit``, and every engine
 
 =======  ==========================================================
 CONC001  module-level state mutated from worker-reachable code
-         (the ``_WORKER_WORLD`` fork handshake is the one
+         (the ``fork_inherit`` handshake global is the one
          allowlisted write)
 CONC002  shared instance caches (memo dicts, hit/miss counters)
          written on paths not holding the corresponding lock

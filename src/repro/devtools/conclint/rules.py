@@ -30,18 +30,12 @@ from repro.devtools.common.findings import Finding
 
 __all__ = ["ConcRule", "all_conc_rules", "conc_rule_table", "register_conc"]
 
-#: The blessed module-global writes: the fork handshakes that ship
-#: large read-only state to workers by inheritance — the study runner's
-#: world and the shard builder's page groups.  Each is set and reset
-#: strictly parent-side, around pool creation, and read-only inside
-#: workers.
-ALLOWED_GLOBAL_WRITES = frozenset(
-    {
-        "repro.core.runner._WORKER_WORLD",
-        "repro.search.sharding._BUILDER_GROUPS",
-        "repro.search.shardexec._RESIDENT_SPEC",
-    }
-)
+#: The blessed module-global write: the one fork handshake
+#: (:func:`repro.forkpool.fork_inherit`) that ships large read-only
+#: state to workers by inheritance — the study runner's world, the
+#: shard builder's page groups.  It is set and reset strictly
+#: parent-side, around pool creation, and read-only inside workers.
+ALLOWED_GLOBAL_WRITES = frozenset({"repro.forkpool._INHERITED"})
 
 #: Method calls that mutate their receiver in place.
 MUTATOR_METHODS = frozenset(
@@ -267,16 +261,16 @@ class GlobalMutationRule(ConcRule):
     silently diverge (each child mutates its own copy, the parent never
     sees it — or worse, the parent's state no longer matches what the
     workers computed with).  Either way the byte-identical guarantee is
-    gone.  The one blessed exception is the ``_WORKER_WORLD`` fork
-    handshake, which is written strictly parent-side around pool
-    creation.
+    gone.  The one blessed exception is the fork handshake's
+    ``repro.forkpool._INHERITED``, which is written strictly
+    parent-side around pool creation.
     """
 
     code = "CONC001"
     title = "global mutation"
     summary = (
         "assignment or in-place mutation of module-level state from "
-        "worker-reachable code (the _WORKER_WORLD handshake is exempt)"
+        "worker-reachable code (the fork_inherit handshake is exempt)"
     )
 
     def check_function(self, fn: FunctionInfo) -> None:
@@ -596,8 +590,10 @@ class ForkShipMutationRule(ConcRule):
     ``fork`` snapshots the parent's memory; a world assigned to the
     worker handshake global and then mutated parent-side silently
     diverges from what the workers compute against.  The rule is
-    parent-side: it runs over *every* function that both ships a global
-    and touches a pool.
+    parent-side: it runs over *every* function that ships a value —
+    either by assigning a declared global and touching a pool, or by
+    handing it to :func:`repro.forkpool.fork_inherit`, whose ``with``
+    block is the span in which a parent-side mutation diverges.
     """
 
     code = "CONC003"
@@ -609,10 +605,17 @@ class ForkShipMutationRule(ConcRule):
     worker_side = False
 
     def check_function(self, fn: FunctionInfo) -> None:
+        ships = self._global_ships(fn) + self._inherit_ships(fn)
+        for ship_line, last_line, shipped, via in ships:
+            self._flag_mutations(fn, ship_line, last_line, shipped, via)
+
+    def _global_ships(self, fn: FunctionInfo) -> list[tuple[int, float, str, str]]:
+        """Assignments to a declared global in a function that touches a
+        pool: the value stays shipped for the rest of the function."""
         declared = _global_declarations(fn.node)
         if not declared or not self._touches_pool(fn):
-            return
-        ships: list[tuple[int, str, str]] = []
+            return []
+        ships: list[tuple[int, float, str, str]] = []
         for node in iter_own_nodes(fn.node):
             if not isinstance(node, ast.Assign):
                 continue
@@ -623,10 +626,33 @@ class ForkShipMutationRule(ConcRule):
                     and not isinstance(node.value, ast.Constant)
                 ):
                     ships.append(
-                        (node.lineno, ast.unparse(node.value), target.id)
+                        (node.lineno, float("inf"), ast.unparse(node.value), target.id)
                     )
-        for ship_line, shipped, global_name in ships:
-            self._flag_mutations(fn, ship_line, shipped, global_name)
+        return ships
+
+    def _inherit_ships(self, fn: FunctionInfo) -> list[tuple[int, float, str, str]]:
+        """``with fork_inherit(value, ...)`` blocks: ``value`` is live in
+        forked workers from the ``with`` line to the block's end."""
+        minfo = self.actx.module(fn)
+        ships: list[tuple[int, float, str, str]] = []
+        for node in iter_own_nodes(fn.node):
+            if not isinstance(node, ast.With):
+                continue
+            for item in node.items:
+                call = item.context_expr
+                if not isinstance(call, ast.Call) or not call.args:
+                    continue
+                spelled = minfo.ctx.resolve(call.func) or ast.unparse(call.func)
+                if spelled.rsplit(".", 1)[-1] == "fork_inherit":
+                    ships.append(
+                        (
+                            node.lineno,
+                            node.end_lineno or node.lineno,
+                            ast.unparse(call.args[0]),
+                            "fork_inherit",
+                        )
+                    )
+        return ships
 
     def _touches_pool(self, fn: FunctionInfo) -> bool:
         minfo = self.actx.module(fn)
@@ -651,12 +677,17 @@ class ForkShipMutationRule(ConcRule):
         return False
 
     def _flag_mutations(
-        self, fn: FunctionInfo, ship_line: int, shipped: str, global_name: str
+        self,
+        fn: FunctionInfo,
+        ship_line: int,
+        last_line: float,
+        shipped: str,
+        global_name: str,
     ) -> None:
         prefix = shipped + "."
         for node in iter_own_nodes(fn.node):
             lineno = getattr(node, "lineno", 0)
-            if lineno <= ship_line:
+            if lineno <= ship_line or lineno > last_line:
                 continue
             target: ast.expr | None = None
             if isinstance(node, (ast.Assign, ast.AugAssign)):

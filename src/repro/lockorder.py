@@ -58,8 +58,6 @@ CANONICAL_HIERARCHY = (
     "RunJournal._lock",
     "ServeStats._lock",
     "ShardCoverageLog._lock",
-    "ShardSupervisor._lock",
-    "ShardWorker._lock",
     "SimClock._lock",
     "SingleFlight._lock",
 )

@@ -158,7 +158,6 @@ class ResilienceContext:
         fn: Callable[[], Any],
         *,
         engine: str | None = None,
-        on_fault: Callable[[InjectedFault], None] | None = None,
     ) -> Any:
         """Run ``fn`` behind the resilience ladder at ``site``.
 
@@ -170,13 +169,6 @@ class ResilienceContext:
         ``fail_fast`` mode the first injected fault propagates raw.
         Real exceptions from ``fn`` always propagate — the substrate is
         deterministic, so a genuine bug would fail every retry anyway.
-
-        ``on_fault`` observes every injected fault before the ladder
-        reacts to it — the shard supervisor's hook for respawning a
-        crashed worker, so the *retry* of a crash-kind fault lands on a
-        fresh process.  It runs even in ``fail_fast`` mode (the
-        supervisor must stay consistent however the fault propagates),
-        and its own exceptions propagate like any real failure.
         """
         breaker = self.breaker_for(engine) if engine is not None else None
         if breaker is not None and not breaker.allow():
@@ -192,8 +184,6 @@ class ResilienceContext:
                 self.events.bump("faults_injected")
                 if fault.kind == "timeout":
                     self.events.bump("timeouts")
-                if on_fault is not None:
-                    on_fault(fault)
                 if self.config.fail_fast:
                     raise
                 delay = policy.delay(attempt)

@@ -33,16 +33,15 @@ returns byte-identical results to the single-shard
   takes.  The whole fast path stays gated by the exact-``SeoWeights``
   check, so blend subclasses route to the uncached reference oracles.
 
-Shard index builds parallelize over a ``fork`` process pool using the
-same handshake pattern as ``repro.core.runner._WORKER_WORLD``: page
-groups are published in a module global immediately before pool
-creation and retracted right after, so forked builders inherit them
-copy-on-write and only compact frozen arrays (tuples of ints) come back
-over the pipe — never ``Posting`` or ``Page`` objects.  The parent
-reconstitutes each shard against its *own* page objects
-(:meth:`InvertedIndex.from_frozen_parts`), preserving page identity for
-every downstream consumer.  Where ``fork`` is unavailable the build
-degrades to threads with a warning, exactly like the study runner.
+Shard index builds parallelize over a ``fork`` process pool through the
+study runner's handshake, :func:`repro.forkpool.fork_inherit`: forked
+builders inherit the page groups copy-on-write and only compact frozen
+arrays (tuples of ints) come back over the pipe — never ``Posting`` or
+``Page`` objects.  The parent reconstitutes each shard against its
+*own* page objects (:meth:`InvertedIndex.from_frozen_parts`),
+preserving page identity for every downstream consumer.  Where ``fork``
+is unavailable the build degrades to threads with a warning, exactly
+like the study runner.
 
 Cache coherence: the facade :class:`ShardedIndex` exposes a
 **composite epoch** — the sum of the shard epochs, a monotone mutation
@@ -53,14 +52,12 @@ table stay correct without knowing about shards.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
-import warnings
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
+from repro.forkpool import EXECUTORS, fork_inherit, inherited
 from repro.resilience.coverage import ShardCoverage
-from repro.resilience.faults import InjectedFault, ResilienceExhausted
+from repro.resilience.faults import ResilienceExhausted
 from repro.resilience.quarantine import QuarantineRecord
 from repro.search.bm25 import BM25Scorer
 from repro.search.engine import SearchEngine, SearchResult
@@ -82,9 +79,6 @@ __all__ = [
 ]
 
 _EMPTY_ARRAYS: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-
-#: Executor kinds the shard builder accepts (mirrors the study runner).
-BUILD_EXECUTORS = ("process", "thread")
 
 
 def shard_of(doc_id: int, shard_count: int) -> int:
@@ -195,13 +189,7 @@ def exchange_global_stats(
 
 
 # ----------------------------------------------------------------------
-# Parallel shard builds (the _WORKER_WORLD handshake pattern)
-
-#: Page groups inherited by forked shard builders.  Set immediately
-#: before the pool is created and cleared right after it shuts down;
-#: ``fork`` snapshots them into each child, so pages never cross a
-#: pipe — only the compact frozen arrays come back.
-_BUILDER_GROUPS: "tuple[tuple[Page, ...], ...] | None" = None
+# Parallel shard builds
 
 
 @dataclass(frozen=True)
@@ -225,14 +213,7 @@ def _build_parts(pages: Sequence[Page], title_boost: int) -> _ShardParts:
 
 def _build_parts_inherited(shard_id: int, title_boost: int) -> _ShardParts:
     """Build one shard in a forked worker, via the inherited groups."""
-    groups = _BUILDER_GROUPS
-    if groups is None:  # pragma: no cover - defensive; fork guarantees it
-        raise RuntimeError("builder has no inherited page groups")
-    return _build_parts(groups[shard_id], title_boost)
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
+    return _build_parts(inherited()[shard_id], title_boost)
 
 
 def build_shard_indexes(
@@ -253,9 +234,9 @@ def build_shard_indexes(
     """
     if builders < 1:
         raise ValueError("builders must be at least 1")
-    if executor not in BUILD_EXECUTORS:
+    if executor not in EXECUTORS:
         raise ValueError(
-            f"executor must be one of {BUILD_EXECUTORS}, got {executor!r}"
+            f"executor must be one of {EXECUTORS}, got {executor!r}"
         )
     if builders == 1 or len(groups) <= 1:
         indexes = []
@@ -265,51 +246,22 @@ def build_shard_indexes(
             indexes.append(index.freeze())
         return indexes
 
-    global _BUILDER_GROUPS
-    use_processes = executor == "process" and _fork_available()
-    if executor == "process" and not use_processes:
-        warnings.warn(
-            "fork start method unavailable; shard builds degrading from the "
-            "process executor to threads (results are identical, sharing "
-            "semantics differ)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    shipped = tuple(tuple(pages) for pages in groups)
     width = min(builders, len(groups))
-    if use_processes:
-        # The allowlisted shared-global write (see conclint CONC001):
-        # publish the groups for fork inheritance, retract in the
-        # outermost finally no matter what fails.
-        _BUILDER_GROUPS = tuple(tuple(pages) for pages in groups)
-    try:
-        # Pool creation sits inside the try: if it fails (fd/process
-        # limits), the handshake global must still be retracted.
-        if use_processes:
-            pool = ProcessPoolExecutor(
-                max_workers=width,
-                mp_context=multiprocessing.get_context("fork"),
-            )
+    with fork_inherit(shipped, executor, width) as (pool, forked):
+        if forked:
+            futures = [
+                pool.submit(_build_parts_inherited, shard_id, title_boost)
+                for shard_id in range(len(groups))
+            ]
         else:
-            pool = ThreadPoolExecutor(max_workers=width)
-        try:
-            if use_processes:
-                futures = [
-                    pool.submit(_build_parts_inherited, shard_id, title_boost)
-                    for shard_id in range(len(groups))
-                ]
-            else:
-                futures = [
-                    pool.submit(_build_parts, pages, title_boost)
-                    for pages in groups
-                ]
-            # Collection in submission order keeps shard order (and
-            # therefore everything downstream) deterministic.
-            parts = [future.result() for future in futures]
-        finally:
-            pool.shutdown()
-    finally:
-        if use_processes:
-            _BUILDER_GROUPS = None
+            futures = [
+                pool.submit(_build_parts, pages, title_boost)
+                for pages in groups
+            ]
+        # Collection in submission order keeps shard order (and
+        # therefore everything downstream) deterministic.
+        parts = [future.result() for future in futures]
 
     return [
         InvertedIndex.from_frozen_parts(
@@ -559,9 +511,9 @@ class ShardedSearchEngine(SearchEngine):
             raise ValueError("shards must be at least 1")
         if builders < 1:
             raise ValueError("builders must be at least 1")
-        if build_executor not in BUILD_EXECUTORS:
+        if build_executor not in EXECUTORS:
             raise ValueError(
-                f"build_executor must be one of {BUILD_EXECUTORS}, "
+                f"build_executor must be one of {EXECUTORS}, "
                 f"got {build_executor!r}"
             )
         self._shard_count = shards
@@ -626,21 +578,6 @@ class ShardedSearchEngine(SearchEngine):
         bundle; scatters then run behind the ``search.shard`` site."""
         self._resilience = context
 
-    def _score_shard(
-        self, shard_id: int, terms: Sequence[str], scorer: BM25Scorer
-    ) -> dict[int, float]:
-        """Score one shard — the seam a resident executor overrides to
-        route the call to a long-lived worker process."""
-        return scorer.score_terms(terms)
-
-    def _shard_fault(self, shard_id: int, fault: InjectedFault) -> None:
-        """Observe one injected fault on a shard scatter.
-
-        A hook for supervised executors: the resident engine respawns
-        the shard's worker on a crash-kind fault so the retry lands on
-        a fresh process.  The in-process engine has no worker to lose.
-        """
-
     def _scatter_scores(
         self, terms: Sequence[str]
     ) -> tuple[list, "ShardCoverage | None"]:
@@ -662,10 +599,7 @@ class ShardedSearchEngine(SearchEngine):
         scorers = self._shard_scorers()
         ctx = self._resilience
         if ctx is None:
-            return [
-                self._score_shard(shard_id, terms, scorer)
-                for shard_id, scorer in enumerate(scorers)
-            ], None
+            return [scorer.score_terms(terms) for scorer in scorers], None
         query = " ".join(terms)
         shard_scores: list = []
         missing: list[int] = []
@@ -676,13 +610,8 @@ class ShardedSearchEngine(SearchEngine):
                 scores = ctx.call(
                     "search.shard",
                     (shard_id, query),
-                    lambda shard_id=shard_id, scorer=scorer: self._score_shard(
-                        shard_id, terms, scorer
-                    ),
+                    lambda scorer=scorer: scorer.score_terms(terms),
                     engine=f"search.shard:{shard_id}",
-                    on_fault=lambda fault, shard_id=shard_id: self._shard_fault(
-                        shard_id, fault
-                    ),
                 )
             except ResilienceExhausted as exc:
                 shard_scores.append(None)

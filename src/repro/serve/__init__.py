@@ -1,6 +1,6 @@
 """The answer-serving tier: a long-lived loop over a warm world.
 
-Turns the one-shot batch study into a resident service: a
+Turns the one-shot batch study into a long-running service: a
 :class:`~repro.serve.loop.ServeLoop` drains deterministic,
 popularity-skewed request streams (:mod:`repro.serve.loadgen`) across
 the engine fleet with admission control, per-engine circuit-breaker

@@ -1,4 +1,4 @@
-"""The answer-serving loop: a resident process over a warm world.
+"""The answer-serving loop: a long-lived process over a warm world.
 
 The batch study answers a fixed workload once; a serving tier drains an
 open-ended *stream* of answer requests against a warm

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.__main__ import main as cli_main
+from repro.__main__ import _build_parser, _config, main as cli_main
 from repro.core.export import result_to_dict, results_to_json
 
 
@@ -87,6 +87,14 @@ class TestCli:
     def test_calibration(self, capsys):
         assert cli_main(["calibration"]) == 0
         assert "EXPOSURE_ALPHA" in capsys.readouterr().out
+
+    def test_shards_zero_selects_the_single_index(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARDS", "4")
+        parser = _build_parser()
+        args = parser.parse_args(["run", "fig1", "--shards", "0"])
+        assert _config(args).search_shards == 0
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "fig1", "--shards", "-1"])
 
     def test_unknown_experiment_is_an_error(self, capsys):
         assert cli_main(["run", "fig9"]) == 2

@@ -66,43 +66,6 @@ def _explode_chunk(engine_name, queries, attempt=1):
     raise RuntimeError("chunk exploded")
 
 
-class TestWorkerWorldHandshake:
-    """_WORKER_WORLD must never outlive the pool, even on failure."""
-
-    def _queries(self, world):
-        from repro.entities.queries import ranking_queries
-
-        return ranking_queries(world.catalog, count=4, seed=23)
-
-    def test_reset_after_successful_run(self, tiny_world):
-        import repro.core.runner as runner_module
-
-        runner = StudyRunner(tiny_world, workers=2, executor="process")
-        runner.answers(self._queries(tiny_world))
-        assert runner_module._WORKER_WORLD is None
-
-    def test_reset_when_a_worker_chunk_raises(self, tiny_world, monkeypatch):
-        import repro.core.runner as runner_module
-
-        monkeypatch.setattr(runner_module, "_answer_chunk", _explode_chunk)
-        runner = StudyRunner(tiny_world, workers=2, executor="process")
-        with pytest.raises(RuntimeError, match="chunk exploded"):
-            runner.answers(self._queries(tiny_world))
-        assert runner_module._WORKER_WORLD is None
-
-    def test_reset_when_pool_creation_fails(self, tiny_world, monkeypatch):
-        import repro.core.runner as runner_module
-
-        def _no_pool(*args, **kwargs):
-            raise OSError("process limit reached")
-
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _no_pool)
-        runner = StudyRunner(tiny_world, workers=2, executor="process")
-        with pytest.raises(OSError, match="process limit reached"):
-            runner.answers(self._queries(tiny_world))
-        assert runner_module._WORKER_WORLD is None
-
-
 class TestWorkerExceptionPropagation:
     """A raising chunk must fail fast (no resilience) and say where.
 
@@ -154,29 +117,13 @@ class TestWorkerExceptionPropagation:
 
 
 class TestExecutorDegradation:
-    """No-fork platforms degrade to threads — loudly and visibly."""
+    """The effective executor is recorded (the no-fork degrade itself is
+    covered for both fork-handshake callers in test_forkpool.py)."""
 
     def _queries(self, world):
         from repro.entities.queries import ranking_queries
 
         return ranking_queries(world.catalog, count=4, seed=31)
-
-    def test_no_fork_degrades_to_threads_with_warning(
-        self, tiny_world, monkeypatch
-    ):
-        import repro.core.runner as runner_module
-
-        monkeypatch.setattr(runner_module, "_fork_available", lambda: False)
-        runner = StudyRunner(tiny_world, workers=2, executor="process")
-        with pytest.warns(RuntimeWarning, match="fork start method unavailable"):
-            answers = runner.answers(self._queries(tiny_world))
-        assert set(answers) == set(tiny_world.engines)
-        assert runner.stats.effective_executor == "thread"
-
-        from repro.core.report import render_stats
-
-        study = ComparativeStudy(tiny_world, runner=runner)
-        assert "(effective: thread)" in render_stats(study)
 
     def test_fork_platform_records_effective_process(self, tiny_world):
         runner = StudyRunner(tiny_world, workers=2, executor="process")

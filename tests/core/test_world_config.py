@@ -20,6 +20,9 @@ class TestConfig:
             WorkloadSizes(ranking_queries=0)
         with pytest.raises(ValueError):
             StudyConfig(corpus_scale=0)
+        with pytest.raises(ValueError, match="always run in-process"):
+            StudyConfig(search_shards=4, resident_shards=True)
+        assert StudyConfig(resident_shards=False).resident_shards is False
 
 
 class TestWorld:

@@ -201,14 +201,15 @@ class TestPartialMergeOracle:
 
 
 class TestRecoverablePlansAreInvisible:
+    @pytest.mark.parametrize("kind", ["error", "crash"])
     def test_results_and_cache_identical_to_clean_run(
-        self, shard_world, sharded_engines
+        self, shard_world, sharded_engines, kind
     ):
         """failures=2 recovers at attempt 3 (inside the default ladder):
         results, coverage, and cacheability all match a clean run."""
         seed, catalog, __, __, single = shard_world
         engine = sharded_engines(4)
-        ctx = _context("search.shard:0.5:2:error", seed=7)
+        ctx = _context(f"search.shard:0.5:2:{kind}", seed=7)
         engine.set_resilience(ctx)
         try:
             engine.clear_query_cache()
@@ -252,13 +253,14 @@ class TestRecoverablePlansAreInvisible:
         assert [(r.url, r.score) for r in recovered] == full
         assert [(r.url, r.score) for r in partial] != full
 
+    @pytest.mark.parametrize("kind", ["error", "crash"])
     def test_degraded_scatter_is_quarantined_with_provenance(
-        self, shard_world, sharded_engines
+        self, shard_world, sharded_engines, kind
     ):
         seed, catalog, __, __, __ = shard_world
         engine = sharded_engines(4)
         engine.clear_query_cache()
-        ctx = _context("search.shard@1:1.0:inf")
+        ctx = _context(f"search.shard@1:1.0:inf:{kind}")
         engine.set_resilience(ctx)
         try:
             query = _workload(catalog, seed)[0]
@@ -268,6 +270,6 @@ class TestRecoverablePlansAreInvisible:
         (record,) = ctx.quarantine.records()
         assert record.site == "search.shard"
         assert record.kind == "degraded"
-        assert "shard 1" in record.reason
+        assert record.reason == f"shard 1: {kind} fault persisted"
         assert record.attempts == 3  # the full default ladder
         assert ctx.events.get("shard_scatter_losses") == 1

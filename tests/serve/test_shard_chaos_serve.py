@@ -1,7 +1,7 @@
 """Serving under shard chaos: byte-identical or honestly partial.
 
-The acceptance contract for the resident/partial-coverage work at the
-serving tier:
+The acceptance contract for the shard fault domain and partial
+coverage at the serving tier:
 
 * **Recoverable** ``search.shard`` plans recover inside the retry
   ladder, so the served stream's ``answers_digest`` is byte-identical

@@ -59,13 +59,6 @@ BENCH_JSON = REPO_ROOT / "BENCH_search.json"
 #: A live ratio below ``TOLERANCE`` x the recorded ratio fails the gate.
 TOLERANCE = 0.75
 
-#: Per-metric overrides.  ``resident_warm_query`` crosses a process
-#: boundary per shard, so on narrow boxes the scatter and the workers
-#: share cores and the quotient is far noisier than the in-process
-#: microbenchmarks — the gate still catches a protocol regression
-#: (those cost integer factors) without tripping on scheduler jitter.
-METRIC_TOLERANCES = {"resident_warm_query": 0.45}
-
 #: Timing repeats; best-of-N suppresses scheduler noise.
 REPEATS = 5
 
@@ -154,36 +147,14 @@ def measure_ratios() -> dict[str, float]:
         for page in pages:
             extract_snippet(page, query)
 
-    # The resident executor: every scatter crosses a pipe to a warm
-    # worker process.  Gated against the same reference pipeline as
-    # organic_search, so the quotient prices the RPC overhead — a
-    # protocol regression (chattier frames, lock convoys on the pipe)
-    # drags it down even when the in-process fast path is untouched.
-    from repro.search.shardexec import ResidentShardedSearchEngine
-
-    resident = ResidentShardedSearchEngine(corpus, registry, shards=4)
-
-    def resident_fast():
-        # Cold ranking: the query cache must not absorb the scatter.
-        resident.clear_query_cache()
-        for text in texts:
-            resident.search(text, 10)
-
     # Warm every path once before timing.
     search_fast(), search_reference(), bm25_fast(), bm25_reference()
-    resident_fast()
-    try:
-        return {
-            "organic_search": _best_of(search_reference)
-            / _best_of(search_fast),
-            "bm25_score_terms": _best_of(bm25_reference) / _best_of(bm25_fast),
-            "snippet_extraction": _best_of(snippets_reference)
-            / _best_of(snippets_fast),
-            "resident_warm_query": _best_of(search_reference)
-            / _best_of(resident_fast),
-        }
-    finally:
-        resident.close()
+    return {
+        "organic_search": _best_of(search_reference) / _best_of(search_fast),
+        "bm25_score_terms": _best_of(bm25_reference) / _best_of(bm25_fast),
+        "snippet_extraction": _best_of(snippets_reference)
+        / _best_of(snippets_fast),
+    }
 
 
 def measure_sharded_build() -> dict:
@@ -265,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
         if measured is None:
             failures.append(f"{name}: recorded but not measured")
             continue
-        threshold = METRIC_TOLERANCES.get(name, TOLERANCE) * floor_ratio
+        threshold = TOLERANCE * floor_ratio
         verdict = "ok" if measured >= threshold else "REGRESSED"
         print(
             f"{name}: {measured:.2f}x live vs {floor_ratio:.2f}x recorded "

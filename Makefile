@@ -64,12 +64,12 @@ cachelint-baseline:
 lockwitness:
 	REPRO_LOCK_WITNESS=1 REPRO_WORKERS=4 pytest tests/serve/ tests/resilience/ -q
 
-# The serving/search suites with the runtime cache-staleness witness
-# armed: every instrumented cache fingerprints values at insert and
-# checks an epoch stamp on every hit, so a stale read raises instead of
-# silently skewing results.
+# The serving/search/engine/study/resilience suites with the runtime
+# cache-staleness witness armed: every BoundedCache fingerprints values
+# at insert and checks an epoch stamp on every hit, so a stale read
+# raises instead of silently skewing results.
 cachewitness:
-	REPRO_CACHE_WITNESS=1 REPRO_WORKERS=4 pytest tests/serve/ tests/search/ tests/engines/ -q
+	REPRO_CACHE_WITNESS=1 REPRO_WORKERS=4 pytest tests/serve/ tests/search/ tests/engines/ tests/core/ tests/resilience/ -q
 
 bench:
 	pytest benchmarks/ --benchmark-only --benchmark-disable-gc

@@ -1,28 +1,43 @@
-"""Lock-guarded bounded memoization for the search substrate.
+"""The one memo primitive: a lock-guarded, FIFO-bounded keyed cache.
 
-Both query-path caches (the world-level query-result cache on
-:class:`repro.search.engine.SearchEngine` and the per-page sentence cache
-behind snippet extraction) share this primitive: a FIFO-bounded dict with
-hit/miss/eviction counters, every write under an instance lock.
+Every memo in the codebase is a :class:`BoundedCache`: the engine answer
+memos (:class:`repro.engines.base.AnswerEngine`), the Section 3.1
+evidence cache (:class:`repro.core.runner.EvidenceCache`), and the
+search substrate's query-result and sentence caches.  Each is a
+FIFO-bounded dict with hit/miss/eviction counters, every write under an
+instance lock, plus an optional staleness witness.
 
-The concurrency contract matches the engine memo caches that conclint
-CONC002 audits: ``compute`` runs *outside* the lock (racing duplicate
-computations are deterministic, so last-insert-wins is harmless), all
-bookkeeping — insert, trim, counters — runs inside it.  Instances are
-plain attributes of world-owned objects, so forked pool workers inherit
-independent copies and the thread executor shares one safely through the
-lock; no module-level state is involved (CONC001/CONC004 clean by
+The concurrency contract is the one conclint CONC002 audits: ``compute``
+runs *outside* the lock (racing duplicate computations are
+deterministic, so last-insert-wins is harmless), all bookkeeping —
+insert, trim, counters — runs inside it.  Instances are plain
+attributes of world-owned objects, so forked pool workers inherit
+independent copies and the thread executor shares one safely through
+the lock; no module-level state is involved (CONC001/CONC004 clean by
 construction).
+
+The partial-result rule lives here too: given a
+:class:`~repro.resilience.coverage.ShardCoverageLog`,
+:meth:`BoundedCache.get_or_compute` hands back a value whose compute
+lost shard coverage on the calling thread without storing or counting
+it, so no memo ever replays a partial merge after the shard recovers.
+
+A leaf module: it imports only the witness helpers, so the engines, the
+runner and the search substrate can all build on it without an import
+cycle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.cachewitness import witness_for
 from repro.lockorder import witness_lock
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.resilience.coverage import ShardCoverageLog
 
 __all__ = ["BoundedCache", "CacheCounters"]
 
@@ -54,14 +69,18 @@ class CacheCounters:
 class BoundedCache:
     """A keyed memo held in FIFO insertion order and trimmed to ``limit``.
 
-    Invariants (shared with :class:`repro.core.runner.EvidenceCache`):
+    Invariants:
 
     * one computation per key per cache between evictions — a second
       lookup is a hit, never a recompute;
+    * presence decides hit vs miss — a stored ``None`` is a hit;
     * thread-safe — ``compute`` runs outside the lock, bookkeeping
       inside it, and the stored value (not the racing duplicate) is
       what every caller receives, so value identity is stable across
-      threads.
+      threads; the loser of a race counts a hit on the winner's entry;
+    * exception-safe — a ``compute`` that raises changes nothing: no
+      counter moves and no entry is stored, so counters only ever
+      describe completed work.
     """
 
     def __init__(
@@ -90,13 +109,22 @@ class BoundedCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._cache
 
+    def peek(self, key: Hashable) -> Any | None:
+        """The stored value for ``key``, or ``None`` — no counters.
+
+        An unlocked read for callers that do their own hit/miss
+        accounting (the serving tier classifies hit vs coalesced vs
+        miss before entering its single-flight group).  Dict reads are
+        GIL-atomic and entries are immutable once stored, so a racing
+        eviction at worst turns the peek into a miss.
+        """
+        return self._cache.get(key)
+
     def get(self, key: Hashable, default: Any = None) -> Any | None:
         """The cached value for ``key`` (a counted hit), or ``default``.
 
-        Presence — not truthiness or ``None``-ness — decides hit vs
-        miss: a stored ``None`` is a hit.  An absent key moves no
-        counter; the miss is recorded by the :meth:`put` half of the
-        pair, as always.
+        An absent key moves no counter; the miss is recorded by the
+        :meth:`put` half of the pair.
         """
         with self._lock:
             value = self._cache.get(key, _MISSING)
@@ -114,7 +142,10 @@ class BoundedCache:
         """Insert ``value`` unless ``key`` arrived first; return the winner.
 
         Counted as the miss half of a ``get``/``put`` pair: the caller
-        already observed the miss via :meth:`get`, so ``put`` records it.
+        already observed the miss via :meth:`get`, so ``put`` records
+        it.  Insert first, trim after: a present key is never grounds
+        for eviction, and the cache holds exactly ``limit`` entries at
+        steady state.
         """
         with self._lock:
             if key not in self._cache:
@@ -135,16 +166,33 @@ class BoundedCache:
                 self._witness.verify(key, stored)
         return stored
 
-    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+    def get_or_compute(
+        self,
+        key: Hashable,
+        compute: Callable[[], Any],
+        *,
+        coverage: ShardCoverageLog | None = None,
+    ) -> Any:
         """Return the cached value for ``key``, computing it on first use.
 
-        ``None`` is a first-class value: once stored it is returned as
-        a hit, never recomputed.
+        With ``coverage``, a value whose compute recorded shard loss on
+        *this thread* (a scatter degraded to a partial merge) is
+        returned but neither stored nor counted: the next lookup
+        recomputes at whatever coverage the recovered shards provide,
+        hit/miss bookkeeping matches a clean run's, and the coverage
+        log already carries the provenance.  Losses on other threads
+        never block an insert.
         """
         value = self.get(key, _MISSING)
         if value is not _MISSING:
             return value
-        return self.put(key, compute())
+        if coverage is None:
+            return self.put(key, compute())
+        mark = coverage.mark()
+        value = compute()
+        if coverage.recorded_since(mark):
+            return value
+        return self.put(key, value)
 
     def counters(self) -> CacheCounters:
         """Current hit/miss/eviction counts and entry count."""

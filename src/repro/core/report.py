@@ -218,12 +218,11 @@ def render_stats(study: "ComparativeStudy") -> str:
     for name, engine in study.world.engines.items():
         hits, misses = engine.cache_stats()
         lines.append(f"    {name:<11} hits {hits:>6}  misses {misses:>6}")
-    evidence = study.world.evidence_cache
-    cache_stats = evidence.stats
+    evidence_stats = study.world.evidence_cache.counters()
     lines.append(
-        f"  evidence cache: {len(evidence)} contexts, "
-        f"{cache_stats.hits} hits / {cache_stats.misses} misses "
-        f"(hit rate {100.0 * cache_stats.hit_rate:.0f}%)"
+        f"  evidence cache: {evidence_stats.size} contexts, "
+        f"{evidence_stats.hits} hits / {evidence_stats.misses} misses "
+        f"(hit rate {100.0 * evidence_stats.hit_rate:.0f}%)"
     )
     search_engine = study.world.search_engine
     query_stats = search_engine.query_cache_stats()

@@ -13,17 +13,16 @@ exploits both facts:
   results **byte-identical** to sequential ones — engines are
   deterministic per query, and ordering is fixed by construction, not by
   completion time.
-* :class:`EvidenceCache` is a world-level, keyed memo for the Section
-  3.1 evidence contexts, so each ``(query, depth)`` pair is retrieved
-  exactly once per world no matter how many experiments revisit it.
-  The search substrate adds two more world-level memos under the same
-  contract — :class:`~repro.search.engine.SearchEngine`'s query-result
-  cache and its :class:`~repro.search.snippets.SnippetCache` — both
-  instance-owned and lock-guarded
-  (:class:`~repro.search.caching.BoundedCache`): forked pool workers
-  inherit warm copies copy-on-write, the thread executor shares one
-  safely, and cached values are deterministic, so worker topology never
-  changes results.
+* :class:`EvidenceCache` is the world-level memo for the Section 3.1
+  evidence contexts, keyed ``(query text, policy, index epoch)``, so
+  each context is retrieved exactly once per world no matter how many
+  experiments revisit it.  Like every memo in the codebase — the
+  engine answer memos, :class:`~repro.search.engine.SearchEngine`'s
+  query-result cache and its :class:`~repro.search.snippets.SnippetCache`
+  — it is a :class:`~repro.caching.BoundedCache`: instance-owned and
+  lock-guarded, so forked pool workers inherit warm copies
+  copy-on-write, the thread executor shares one safely, and cached
+  values are deterministic, so worker topology never changes results.
 * :class:`RunStats` counts what happened (queries answered, pool tasks,
   cache hits/misses, wall time per phase) and is rendered by
   :func:`repro.core.report.render_stats` and ``python -m repro run
@@ -52,18 +51,17 @@ ones.  Without a context, failures propagate exactly as before — as a
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Hashable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from repro.cachewitness import witness_for
+from repro.caching import BoundedCache, CacheCounters
 from repro.engines.base import Answer
 from repro.entities.queries import Query
 from repro.forkpool import EXECUTORS, fork_inherit, inherited
 from repro.llm.rng import derive_seed
-from repro.lockorder import witness_lock
 from repro.resilience.context import ResilienceContext, ResilienceEvents
 from repro.resilience.coverage import ShardCoverage
 from repro.resilience.faults import ResilienceExhausted
@@ -74,7 +72,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.world import World
 
 __all__ = [
-    "CacheStats",
     "ChunkExecutionError",
     "EvidenceCache",
     "PhaseStats",
@@ -87,137 +84,26 @@ __all__ = [
 # Evidence cache
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters for one cache."""
+class EvidenceCache(BoundedCache):
+    """World-level memo for the Section 3.1 evidence contexts.
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-class EvidenceCache:
-    """World-level memo for retrieved evidence contexts.
-
-    Keys are caller-provided hashables — the study uses
-    ``(query_text, policy)``, which captures everything the retrieval
-    depends on (the policy carries the evidence depth).  Values are
-    whatever ``compute`` returns; entries are held in FIFO insertion
-    order and trimmed to ``limit``.
-
-    Invariants:
-
-    * one retrieval per key per world — a second lookup is a hit, never
-      a recompute, so ``stats.misses == len(cache)`` until eviction
-      begins.  Hit-vs-miss is decided by key *presence* under the lock,
-      never by comparing the value against ``None``, so a compute that
-      legitimately returns ``None`` memoizes once like any other value;
-    * thread-safe — ``compute`` runs outside the lock (a racing
-      duplicate computation is deterministic, so last-insert-wins is
-      harmless), bookkeeping inside it;
-    * exception-safe — a ``compute`` that raises changes nothing: no
-      counter moves, no entry (partial or otherwise) is stored, and the
-      next lookup of the same key computes afresh.  Counters therefore
-      only ever describe *completed* work: the miss is counted by the
-      insert (or, for the loser of a racing duplicate computation, as a
-      hit on the winner's entry).
-
-    With a :class:`~repro.resilience.context.ResilienceContext` attached
-    (``cache.resilience``, wired by ``World.install_resilience``), the
-    compute runs behind the ``"evidence.context"`` fault site: injected
-    retrieval failures are retried with deterministic backoff, and an
-    exhausted compute raises
-    :class:`~repro.resilience.faults.ResilienceExhausted` for the study
-    layer to quarantine.
+    A :class:`~repro.caching.BoundedCache` under its own witness site.
+    The study keys it ``(query text, policy, index epoch)`` — everything
+    the retrieval depends on (the policy carries the evidence depth) —
+    so ``counters().misses == len(cache)`` until eviction begins: one
+    retrieval per key per world.  No epoch supplier: the cache never
+    sees the index, the *keys* carry its epoch, which the witness's
+    same-key/different-value check enforces.
     """
 
     def __init__(self, limit: int = 8192) -> None:
-        if limit < 1:
-            raise ValueError("limit must be at least 1")
-        self._limit = limit
-        self._entries: dict[Hashable, Any] = {}
-        self._lock = witness_lock("EvidenceCache._lock")
-        #: Staleness witness (None unless REPRO_CACHE_WITNESS=1).  No
-        #: epoch supplier: the cache never sees the index — the *keys*
-        #: carry the index epoch (the study appends it), which the
-        #: witness's same-key/different-value check enforces.
-        self._witness = witness_for("EvidenceCache._entries")
-        self.stats = CacheStats()
-        #: Optional ResilienceContext guarding the compute path.
-        self.resilience: ResilienceContext | None = None
+        super().__init__(limit, site="EvidenceCache._entries")
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
-        """Return the cached value for ``key``, computing it on first use."""
-        with self._lock:
-            if key in self._entries:
-                self.stats.hits += 1
-                cached = self._entries[key]
-                hit = True
-            else:
-                hit = False
-        if hit:
-            # Witness checks run outside the lock (leaf-level witness
-            # lock; see CANONICAL_HIERARCHY).
-            if self._witness is not None:
-                self._witness.verify(key, cached)
-            return cached
-        ctx = self.resilience
-        if ctx is not None:
-            mark = ctx.coverage.mark()
-            value = ctx.call("evidence.context", key, compute)
-            if ctx.coverage.recorded_since(mark):
-                # The compute degraded shard coverage (this thread lost
-                # shards mid-retrieval): hand the partial context back
-                # uncached so the next request re-retrieves at whatever
-                # coverage the recovered shards provide.  No counters —
-                # the skip must leave hit/miss bookkeeping exactly as a
-                # clean run's, and the coverage log already tells the
-                # story.
-                return value
-        else:
-            value = compute()
-        with self._lock:
-            if key not in self._entries:
-                inserted = True
-                self.stats.misses += 1
-                self._entries[key] = value
-                while len(self._entries) > self._limit:
-                    self._entries.pop(next(iter(self._entries)))
-                    self.stats.evictions += 1
-            else:
-                # Lost a racing duplicate computation: the winner's
-                # insert was the one miss; this caller observed a hit.
-                inserted = False
-                self.stats.hits += 1
-            stored = self._entries[key]
-        if self._witness is not None:
-            if inserted:
-                self._witness.record(key, stored)
-            else:
-                self._witness.verify(key, stored)
-        return stored
-
-    def clear(self) -> None:
-        """Drop all entries and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self.stats = CacheStats()
-        if self._witness is not None:
-            self._witness.clear()
+    @property
+    def stats(self) -> CacheCounters:
+        """A snapshot of :meth:`counters`, under the name the repo
+        benchmark's evidence layer reads (``perfbench/layers.py``)."""
+        return self.counters()
 
 
 # ----------------------------------------------------------------------

@@ -173,11 +173,13 @@ class ComparativeStudy:
         every key instead of serving stale evidence.
         """
         policy = replace(self.EVIDENCE_POLICY, citations_per_answer=depth)
+        key = (query.text, policy, self._world.search_engine.index.epoch)
+        ctx = self._world.resilience
 
         def retrieve() -> ContextWindow:
             # The impl entry point, not select_sources: evidence
-            # retrieval has its own fault site ("evidence.context", on
-            # the cache below), and nesting the engine-side
+            # retrieval has its own fault site ("evidence.context",
+            # below), and nesting the engine-side
             # "retrieval.select_sources" site inside it would run two
             # retry ladders over one operation.
             pages = self._world.retriever._select_sources_impl(query.text, policy)
@@ -188,9 +190,15 @@ class ComparativeStudy:
             )
 
         try:
+            if ctx is None:
+                return self._world.evidence_cache.get_or_compute(key, retrieve)
+            # Behind the "evidence.context" fault site, keyed like the
+            # cache; a context that lost shard coverage is returned
+            # uncached.
             return self._world.evidence_cache.get_or_compute(
-                (query.text, policy, self._world.search_engine.index.epoch),
-                retrieve,
+                key,
+                lambda: ctx.call("evidence.context", key, retrieve),
+                coverage=ctx.coverage,
             )
         except ResilienceExhausted as exc:
             # Graceful degradation: an exhausted evidence retrieval
@@ -198,7 +206,6 @@ class ComparativeStudy:
             # query and the affected cell aggregates to an annotated
             # NaN instead of killing the run.  The quarantine record
             # preserves which cell lost data and why.
-            ctx = self._world.resilience
             if ctx is None or ctx.config.fail_fast:
                 raise
             ctx.events.bump("evidence_quarantines")

@@ -144,11 +144,11 @@ class World:
         """Attach a resilience context to every fault site in this world.
 
         Wires the context through the engines (``"engine.answer"``), the
-        retriever (``"retrieval.select_sources"``), the evidence cache
-        (``"evidence.context"``), and — on a sharded substrate — the
-        search engine's scatter (``"search.shard"``); the runner picks
-        it up from ``world.resilience`` for chunk containment.  Passing
-        ``None`` detaches everything, restoring the exact
+        retriever (``"retrieval.select_sources"``) and the search engine
+        (``"search.shard"`` on a sharded substrate); the runner (chunk
+        containment) and the study's evidence retrieval
+        (``"evidence.context"``) read it from ``world.resilience``.
+        Passing ``None`` detaches everything, restoring the exact
         pre-resilience paths.  Forked pool workers inherit the wired
         world copy-on-write, so fault decisions — pure functions of the
         plan seed — agree on both sides of the fork.
@@ -157,9 +157,7 @@ class World:
         for engine in self.engines.values():
             engine.set_resilience(context)
         self.retriever.set_resilience(context)
-        self.evidence_cache.resilience = context
-        if hasattr(self.search_engine, "set_resilience"):
-            self.search_engine.set_resilience(context)
+        self.search_engine.set_resilience(context)
 
     def clear_resilience(self) -> None:
         """Detach the resilience layer (convenience for tests)."""

@@ -17,9 +17,8 @@ The resolver follows the idioms the runtime actually uses:
 
 * ``self._attr`` chains through the attribute type tables
   (``self._world.evidence_cache`` lands on ``World.evidence_cache``);
-* ``cache = getattr(self, "_answer_cache", None)`` — the skipped-init
-  probe in :meth:`repro.engines.base.AnswerEngine.answer` — aliases a
-  local to the attribute site;
+* ``cache = getattr(self, "_memo", None)`` — a skipped-init probe —
+  aliases a local to the attribute site;
 * plain local aliases (``cache = self._query_cache``) and annotated
   parameters.
 """
@@ -637,7 +636,7 @@ def _extract_ops(
         ):
             summary.returned_locals.add(node.value.id)
 
-        # Miss/hit counter bumps: self._cache_misses += 1 styles are
+        # Miss/hit counter bumps: self._misses += 1 styles are
         # AugAssign (handled above for epoch names); record counter-ish
         # attrs separately.
         if isinstance(node, ast.AugAssign):

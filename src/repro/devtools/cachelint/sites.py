@@ -9,17 +9,21 @@ name:
   ``evidence_cache: EvidenceCache = field(...)``;
 * a *dict-as-cache attribute site* — a plain dict display assigned in
   ``__init__`` whose attribute name says it memoizes
-  (``self._answer_cache = {}``);
+  (``self._memo = {}``);
 * a *module-global site* — a mutable module-level binding whose name
   says it is a memo table.
+
+The last two kinds are hand-rolled memos; ``src/repro`` has none, every
+site there holds the one primitive.
 
 Classes that *implement* the cache primitive itself (name ends in
 ``Cache``, own a plain-dict store assigned in ``__init__``, and expose
 ``get``/``put``/``get_or_compute``) are **primitive implementations**:
 their internal dicts are storage, not sites — the sites are the typed
-attributes that *hold* instances of them.  ``BoundedCache._cache`` and
-``EvidenceCache._entries`` disappear this way; ``SnippetCache`` does not
-qualify (its store is a ``BoundedCache``, itself a typed site).
+attributes that *hold* instances of them.  ``BoundedCache._cache``
+disappears this way; ``EvidenceCache`` (a ``BoundedCache`` subclass
+with no store of its own) and ``SnippetCache`` (whose store is a
+``BoundedCache``, itself a typed site) do not qualify.
 
 Alongside the sites, this module computes the **epoch tables** the
 rules reason with: which classes are *epoch-bearing* (they expose an

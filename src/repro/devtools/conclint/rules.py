@@ -472,7 +472,7 @@ class UnguardedCacheWriteRule(ConcRule):
     @staticmethod
     def _holds_lock(item: ast.withitem, lock_attrs: set[str]) -> bool:
         expr = item.context_expr
-        # ``with self._cache_lock:`` — possibly via .acquire()-less
+        # ``with self._lock:`` — possibly via .acquire()-less
         # context manager; any self.<...lock...> attribute counts.
         current = expr
         if isinstance(current, ast.Call):

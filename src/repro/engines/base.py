@@ -12,9 +12,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from repro.cachewitness import witness_for
+from repro.caching import BoundedCache
 from repro.entities.queries import Query
-from repro.lockorder import witness_lock
 from repro.webgraph.pages import Page
 from repro.webgraph.urls import normalize_url
 
@@ -76,19 +75,17 @@ class AnswerEngine(abc.ABC):
 
     #: Cache entries kept per engine; oldest (FIFO, by first insertion)
     #: evicted only once the cache *exceeds* this after an insert.
+    #: Read once, at construction.
     cache_limit: int = 4096
 
     def __init__(self) -> None:
-        self._answer_cache: dict[tuple[str, int], Answer] = {}
-        self._cache_lock = witness_lock("AnswerEngine._cache_lock")
-        self._cache_hits = 0
-        self._cache_misses = 0
-        #: Staleness witness (None unless REPRO_CACHE_WITNESS=1).  The
-        #: epoch supplier re-derives the generation the key embeds, so a
-        #: key built without the epoch component is caught on first
-        #: post-mutation read.
-        self._witness = witness_for(
-            f"AnswerEngine._answer_cache[{self.name}]",
+        #: The memo, keyed ``(query.cache_key, self._cache_epoch())``:
+        #: every identity-bearing Query field plus the generation of the
+        #: corpus state the answers derive from.  The epoch supplier
+        #: lets the staleness witness catch a key built without it.
+        self._answer_cache = BoundedCache(
+            self.cache_limit,
+            site=f"AnswerEngine._answer_cache[{self.name}]",
             epochs=self._cache_epoch,
         )
         #: Optional ResilienceContext guarding _answer_uncached (the
@@ -111,14 +108,6 @@ class AnswerEngine(abc.ABC):
     def _answer_uncached(self, query: Query) -> Answer:
         """Answer ``query``; must be deterministic per (engine, query)."""
 
-    @staticmethod
-    def _cache_key(query: Query) -> str:
-        # Every identity-bearing Query field participates: two queries
-        # differing only in popularity_class must not collide.  The key
-        # is precomputed on the Query itself (its hash is cached after
-        # first use), keeping the memo's hit path to one dict probe.
-        return query.cache_key
-
     def _cache_epoch(self) -> int:
         """Generation of whatever corpus state the answers derive from.
 
@@ -137,98 +126,40 @@ class AnswerEngine(abc.ABC):
         accounting (the serving tier classifies hit vs coalesced vs
         miss before deciding whether to enter the single-flight group).
         """
-        cache = getattr(self, "_answer_cache", None)
-        if cache is None:
-            return None
-        return cache.get((query.cache_key, self._cache_epoch()))
+        return self._answer_cache.peek((query.cache_key, self._cache_epoch()))
 
     def answer(self, query: Query) -> Answer:
-        """Answer ``query`` (memoized)."""
-        # Narrow skipped-__init__ probe: only the *cache attribute*
-        # being absent routes around memoization.  A blanket
-        # ``except AttributeError`` here used to also swallow an
-        # AttributeError raised while computing ``query.cache_key``,
-        # silently disabling the memo for every such query — genuine
-        # key errors must propagate.
-        cache = getattr(self, "_answer_cache", None)
-        if cache is None:
-            # Subclasses that skip __init__ still work, just uncached.
-            return self._answer_uncached(query)
-        # Unlocked probe: dict reads are GIL-atomic, entries are
-        # immutable once stored, and eviction only pops whole
-        # entries — a stale read is at worst a recomputed miss.
-        # Counter writes stay under the lock (the hit-path race the
-        # concurrency tests pin).
+        """Answer ``query`` (memoized).
+
+        With a resilience context the compute runs behind the
+        ``"engine.answer"`` site, and an answer whose retrieval lost
+        shard coverage is served but not memoized.
+        """
         key = (query.cache_key, self._cache_epoch())
-        cached = cache.get(key)
-        if cached is not None:
-            with self._cache_lock:
-                self._cache_hits += 1
-            if self._witness is not None:
-                self._witness.verify(key, cached)
-            return cached
-        ctx = getattr(self, "_resilience", None)
-        if ctx is not None:
-            mark = ctx.coverage.mark()
-            answer = ctx.call(
+        ctx = self._resilience
+        if ctx is None:
+            return self._answer_cache.get_or_compute(
+                key, lambda: self._answer_uncached(query)
+            )
+        return self._answer_cache.get_or_compute(
+            key,
+            lambda: ctx.call(
                 "engine.answer",
                 (self.name, query.id),
                 lambda: self._answer_uncached(query),
                 engine=self.name,
-            )
-            if ctx.coverage.recorded_since(mark):
-                # The retrieval underneath lost shard coverage (this
-                # thread's scatter degraded to a partial merge): the
-                # answer is usable but must not be memoized, or the
-                # cache would replay its partial evidence long after
-                # the shard recovered.  No counters — hit/miss
-                # bookkeeping must match a clean run's, and the
-                # coverage log already carries the provenance.
-                return answer
-        else:
-            answer = self._answer_uncached(query)
-        # Insert first, trim after: a present key is never grounds for
-        # eviction, and the cache holds exactly cache_limit entries at
-        # steady state instead of oscillating around it.  The lock keeps
-        # the memo safe under the thread executor — a racing duplicate
-        # computation is deterministic, and returning the stored entry
-        # preserves answer identity across threads.
-        with self._cache_lock:
-            if key not in cache:
-                inserted = True
-                self._cache_misses += 1
-                cache[key] = answer
-                while len(cache) > self.cache_limit:
-                    cache.pop(next(iter(cache)))
-            else:
-                inserted = False
-                self._cache_hits += 1
-            stored = cache[key]
-        if self._witness is not None:
-            # Outside the lock: the witness has its own leaf-level lock
-            # (see CANONICAL_HIERARCHY) and raises on staleness.
-            if inserted:
-                self._witness.record(key, stored)
-            else:
-                self._witness.verify(key, stored)
-        return stored
+            ),
+            coverage=ctx.coverage,
+        )
 
     def cache_stats(self) -> tuple[int, int]:
         """(hits, misses) of this engine's memo, in this process."""
-        return self._cache_hits, self._cache_misses
+        counters = self._answer_cache.counters()
+        return counters.hits, counters.misses
 
     def clear_cache(self) -> None:
         """Drop memoized answers and reset the hit/miss counters."""
-        cache = getattr(self, "_answer_cache", None)
-        if cache is None:
-            return
-        with self._cache_lock:
-            cache.clear()
-            self._cache_hits = 0
-            self._cache_misses = 0
-        witness = getattr(self, "_witness", None)
-        if witness is not None:
-            witness.clear()
+        self._answer_cache.clear()
 
     def answer_all(self, queries: list[Query]) -> list[Answer]:
         """Answer a workload; convenience for experiment runners."""

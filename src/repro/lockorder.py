@@ -47,11 +47,9 @@ __all__ = [
 #: asserts the two never drift.  ``docs/architecture.md`` documents the
 #: reasoning per site.
 CANONICAL_HIERARCHY = (
-    "AnswerEngine._cache_lock",
     "BoundedCache._lock",
     "CacheWitness._lock",
     "CircuitBreaker._lock",
-    "EvidenceCache._lock",
     "Quarantine._lock",
     "ResilienceContext._lock",
     "ResilienceEvents._lock",

@@ -17,8 +17,8 @@ lock-guarded append-only list it keeps a **thread-local** record
 counter, so a caller can bracket a computation with
 :meth:`~ShardCoverageLog.mark` / :meth:`~ShardCoverageLog.recorded_since`
 and learn whether *its own thread* degraded coverage inside — the
-signal the query cache, the engine memo and the evidence cache use to
-skip memoization of partial results.  Thread-locality matters in the
+signal :meth:`repro.caching.BoundedCache.get_or_compute` uses to skip
+memoizing partial results.  Thread-locality matters in the
 serving tier: concurrent workers must not see each other's losses, or
 a full-coverage answer would be refused memoization because an
 unrelated request degraded at the same moment.

@@ -9,7 +9,6 @@ engines' source selection.
 """
 
 from repro.search.bm25 import BM25Scorer
-from repro.search.caching import BoundedCache, CacheCounters
 from repro.search.engine import SearchEngine, SearchResult, Snippet
 from repro.search.index import InvertedIndex
 from repro.search.pagerank import pagerank
@@ -26,8 +25,6 @@ from repro.search.tokenize import tokenize
 
 __all__ = [
     "BM25Scorer",
-    "BoundedCache",
-    "CacheCounters",
     "GlobalStats",
     "InvertedIndex",
     "LocalStats",

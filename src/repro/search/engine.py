@@ -26,8 +26,8 @@ import heapq
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+from repro.caching import BoundedCache, CacheCounters
 from repro.search.bm25 import BM25Scorer
-from repro.search.caching import BoundedCache, CacheCounters
 from repro.search.index import InvertedIndex
 from repro.search.pagerank import pagerank
 from repro.search.seo import SeoWeights, freshness_decay
@@ -134,6 +134,11 @@ class SearchEngine:
         #: Per-page sentence cache shared by ``search_with_snippets``
         #: and the generative engines' evidence builders.
         self.snippet_cache = SnippetCache()
+        #: The world's resilience bundle, when installed.  Its coverage
+        #: log keeps partial pages out of the query cache; the sharded
+        #: engine also runs its scatter behind the ``search.shard``
+        #: site.  ``None`` keeps every query on the direct path.
+        self._resilience = None
         self._warm()
 
     def _build_index(self, corpus: Corpus) -> InvertedIndex:
@@ -207,18 +212,6 @@ class SearchEngine:
             }
         self._static_table = (epoch, table)
         return table
-
-    def _rank_fast_cacheable(
-        self, terms: Sequence[str], k: int
-    ) -> tuple[list[SearchResult], bool]:
-        """Rank plus a cacheability verdict for the query cache.
-
-        The single-index path always covers the whole corpus, so its
-        pages are always cacheable.  The sharded engine overrides this
-        to report partial coverage (a shard lost past the resilience
-        ladder), which :meth:`search` must not memoize.
-        """
-        return self._rank_fast(terms, k), True
 
     def _rank_fast(self, terms: Sequence[str], k: int) -> list[SearchResult]:
         """Exact top-``k``: accumulate, bounded-heap select, crowd.
@@ -311,18 +304,17 @@ class SearchEngine:
             # describe the ranking; take the uncached reference path.
             return self.search_reference(query, k)
         terms = tuple(tokenize(query))
-        key = (terms, k, self._index.epoch)
-        cached = self._query_cache.get(key)
-        if cached is not None:
-            return list(cached)
-        results, cacheable = self._rank_fast_cacheable(terms, k)
-        if not cacheable:
-            # A partial-coverage page (shards lost past the resilience
-            # ladder) is never memoized: the next identical query must
-            # re-scatter and regain full coverage the moment the shard
-            # recovers, not replay the degraded merge from cache.
-            return list(results)
-        return list(self._query_cache.put(key, tuple(results)))
+        ctx = self._resilience
+        # A partial-coverage page (shards lost past the resilience
+        # ladder) is never memoized: the next identical query must
+        # re-scatter and regain full coverage once the shard recovers.
+        return list(
+            self._query_cache.get_or_compute(
+                (terms, k, self._index.epoch),
+                lambda: tuple(self._rank_fast(terms, k)),
+                coverage=None if ctx is None else ctx.coverage,
+            )
+        )
 
     def search_with_snippets(self, query: str, k: int = 10) -> list[Snippet]:
         """Top-``k`` results as (snippet, url) evidence pairs."""
@@ -406,7 +398,12 @@ class SearchEngine:
         ]
 
     # ------------------------------------------------------------------
-    # Cache administration
+    # Administration
+
+    def set_resilience(self, context) -> None:
+        """Install (or with ``None`` detach) the world's resilience
+        bundle."""
+        self._resilience = context
 
     def query_cache_stats(self) -> CacheCounters:
         """Hit/miss/eviction counters of the query-result cache."""

@@ -523,12 +523,6 @@ class ShardedSearchEngine(SearchEngine):
         #: broadcast at that epoch; rebuilt by re-exchange when a shard
         #: grows, exactly like the scorer's norm table.
         self._shard_scorer_table: tuple[int, tuple[BM25Scorer, ...]] | None = None
-        #: The world's resilience bundle, when installed: scatters then
-        #: run behind the ``search.shard`` fault site with per-shard
-        #: breakers, and exhausted shards degrade to a partial merge
-        #: with a :class:`~repro.resilience.coverage.ShardCoverage`
-        #: record.  ``None`` keeps the scatter on the direct path.
-        self._resilience = None
         super().__init__(corpus, registry, weights, max_per_domain)
 
     @property
@@ -573,14 +567,7 @@ class ShardedSearchEngine(SearchEngine):
     # ------------------------------------------------------------------
     # Resilient scatter
 
-    def set_resilience(self, context) -> None:
-        """Install (or with ``None`` detach) the world's resilience
-        bundle; scatters then run behind the ``search.shard`` site."""
-        self._resilience = context
-
-    def _scatter_scores(
-        self, terms: Sequence[str]
-    ) -> tuple[list, "ShardCoverage | None"]:
+    def _scatter_scores(self, terms: Sequence[str]) -> list:
         """Scatter scoring across shards, fault-tolerantly.
 
         Without a resilience context this is the direct loop.  With one,
@@ -594,12 +581,14 @@ class ShardedSearchEngine(SearchEngine):
         faults recover *inside* the ladder, so they reach neither the
         coverage log nor the merge: the scores list is then exactly the
         direct loop's, which is what keeps recoverable chaos runs
-        byte-identical to clean ones.
+        byte-identical to clean ones.  The coverage record is also what
+        keeps a partial page out of every memo above the scatter (see
+        :meth:`repro.caching.BoundedCache.get_or_compute`).
         """
         scorers = self._shard_scorers()
         ctx = self._resilience
         if ctx is None:
-            return [scorer.score_terms(terms) for scorer in scorers], None
+            return [scorer.score_terms(terms) for scorer in scorers]
         query = " ".join(terms)
         shard_scores: list = []
         missing: list[int] = []
@@ -621,7 +610,7 @@ class ShardedSearchEngine(SearchEngine):
             else:
                 shard_scores.append(scores)
         if not missing:
-            return shard_scores, None
+            return shard_scores
         coverage = ShardCoverage(
             phase=ctx.current_phase,
             query=query,
@@ -645,20 +634,7 @@ class ShardedSearchEngine(SearchEngine):
                 kind="degraded",
             )
         )
-        return shard_scores, coverage
-
-    def _rank_fast_cacheable(
-        self, terms: Sequence[str], k: int
-    ) -> tuple[list[SearchResult], bool]:
-        """Scatter, merge, and report whether coverage was complete.
-
-        A partial merge (lost shards) must not enter the query cache —
-        the cache key carries the index epoch, and a recovered shard
-        does not move it, so a memoized partial page would replay its
-        ranking skew forever.
-        """
-        shard_scores, coverage = self._scatter_scores(terms)
-        return self._merge_ranked(shard_scores, k), coverage is None
+        return shard_scores
 
     def _rank_fast(self, terms: Sequence[str], k: int) -> list[SearchResult]:
         """Scatter-gather top-``k``, float-exact vs the single-shard path.
@@ -673,8 +649,7 @@ class ShardedSearchEngine(SearchEngine):
         documents remain un-gathered, the fallback re-sorts the *full*
         union, matching the single-shard fallback order.
         """
-        shard_scores, __ = self._scatter_scores(terms)
-        return self._merge_ranked(shard_scores, k)
+        return self._merge_ranked(self._scatter_scores(terms), k)
 
     def _merge_ranked(
         self, shard_scores: Sequence, k: int

@@ -20,7 +20,7 @@ Two implementations share the algorithm:
 
 from __future__ import annotations
 
-from repro.search.caching import BoundedCache, CacheCounters
+from repro.caching import BoundedCache, CacheCounters
 from repro.search.tokenize import tokenize
 from repro.webgraph.pages import Page
 
@@ -42,6 +42,12 @@ def _sentences(body: str) -> list[str]:
         if tail:
             pieces.append(tail)
     return pieces
+
+
+def _split(body: str) -> tuple[tuple[str, ...], tuple[frozenset[str], ...]]:
+    """A body's sentences plus one analyzed term set per sentence."""
+    sentences = tuple(_sentences(body))
+    return sentences, tuple(frozenset(tokenize(s)) for s in sentences)
 
 
 def extract_snippet(page: Page, query: str, max_sentences: int = 2) -> str:
@@ -83,7 +89,7 @@ class SnippetCache:
     Sharing contract: the cache is an instance attribute of the world's
     :class:`~repro.search.engine.SearchEngine`; forked pool workers
     inherit independent copies, the thread executor shares one through
-    :class:`~repro.search.caching.BoundedCache`'s lock.
+    :class:`~repro.caching.BoundedCache`'s lock.
     """
 
     def __init__(self, limit: int = 8192) -> None:
@@ -101,14 +107,7 @@ class SnippetCache:
     ) -> tuple[tuple[str, ...], tuple[frozenset[str], ...]]:
         """``(sentences, per-sentence term sets)`` for a page, memoized."""
         body = page.body
-        entry = self._cache.get(body)
-        if entry is not None:
-            return entry
-        sentences = tuple(_sentences(body))
-        term_sets = tuple(
-            frozenset(tokenize(sentence)) for sentence in sentences
-        )
-        return self._cache.put(body, (sentences, term_sets))
+        return self._cache.get_or_compute(body, lambda: _split(body))
 
     def extract(self, page: Page, query: str, max_sentences: int = 2) -> str:
         """Byte-identical to :func:`extract_snippet`, via the cache."""

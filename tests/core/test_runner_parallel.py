@@ -142,27 +142,27 @@ class TestEvidenceCache:
     ):
         _fresh(tiny_world)
         study = ComparativeStudy(tiny_world)
-        stats = tiny_world.evidence_cache.stats
+        cache = tiny_world.evidence_cache
 
         study.perturbation_sensitivity()
-        misses_after_t1 = stats.misses
+        misses_after_t1 = cache.stats.misses
         assert misses_after_t1 > 0
         # Every retrieval so far went into the cache exactly once.
-        assert misses_after_t1 == len(tiny_world.evidence_cache)
+        assert misses_after_t1 == len(cache)
 
         # Table 2 revisits Table 1's queries: all hits, no new retrievals.
         study.pairwise_agreement()
-        assert stats.misses == misses_after_t1
-        assert stats.hits > 0
+        assert cache.stats.misses == misses_after_t1
+        assert cache.stats.hits > 0
 
         # Table 3 brings its own queries, each retrieved exactly once.
         study.citation_misses()
-        assert stats.misses == len(tiny_world.evidence_cache)
+        assert cache.stats.misses == len(cache)
 
         # Re-running Table 1 is now retrieval-free.
-        misses_before_rerun = stats.misses
+        misses_before_rerun = cache.stats.misses
         study.perturbation_sensitivity()
-        assert stats.misses == misses_before_rerun
+        assert cache.stats.misses == misses_before_rerun
 
     def test_results_identical_on_warm_cache(self, tiny_world):
         _fresh(tiny_world)
@@ -233,13 +233,22 @@ class TestEvidenceCache:
         assert cache.stats.hits == 1  # the final probe only
 
     def test_limit_evicts_fifo(self):
+        # Computes are deterministic per key, as real memo computes are
+        # (the cache witness rejects a re-insert that changes a value),
+        # so the recompute is proven by counting calls.
         cache = EvidenceCache(limit=2)
-        cache.get_or_compute("a", lambda: 1)
-        cache.get_or_compute("b", lambda: 2)
-        cache.get_or_compute("c", lambda: 3)  # evicts "a"
+        calls = []
+
+        def compute(key):
+            calls.append(key)
+            return key.upper()
+
+        for key in ("a", "b", "c"):  # "c" evicts "a"
+            cache.get_or_compute(key, lambda: compute(key))
         assert "a" not in cache and "b" in cache and "c" in cache
         assert cache.stats.evictions == 1
-        assert cache.get_or_compute("a", lambda: 4) == 4  # recomputed
+        assert cache.get_or_compute("a", lambda: compute("a")) == "A"
+        assert calls == ["a", "b", "c", "a"]  # recomputed
 
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for engine answer memoization."""
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,6 +21,12 @@ class CountingEngine(AnswerEngine):
     def _answer_uncached(self, query: Query) -> Answer:
         self.calls += 1
         return Answer(engine=self.name, query_id=query.id, text=query.text)
+
+
+class RoomyCountingEngine(CountingEngine):
+    """A counting engine whose memo never evicts in these tests."""
+
+    cache_limit = 4096
 
 
 def make_query(
@@ -119,11 +126,12 @@ class TestAnswerCaching:
         assert engine.calls == 3  # truly dropped, not just counters
 
     def test_concurrent_answers_keep_counters_consistent(self):
-        # Regression for the hit-path race: _cache_hits was bumped
-        # outside _cache_lock, so hammering one engine from many
-        # threads lost increments and broke hits + misses == calls.
-        engine = CountingEngine()
-        engine.cache_limit = 4096  # no eviction noise in this test
+        # Regression for the hit-path race: the hit counter was once
+        # bumped outside the memo lock, so hammering one engine from
+        # many threads lost increments and broke hits + misses == calls.
+        # A tiny switch interval makes the threads interleave inside
+        # the memo instead of each finishing within one GIL slice.
+        engine = RoomyCountingEngine()
         queries = [make_query(i % 8) for i in range(400)]
         barrier = threading.Barrier(8)
 
@@ -132,8 +140,14 @@ class TestAnswerCaching:
             return [engine.answer(q) for q in chunk]
 
         chunks = [queries[i::8] for i in range(8)]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = [f.result() for f in [pool.submit(worker, c) for c in chunks]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(worker, c) for c in chunks]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
 
         hits, misses = engine.cache_stats()
         # Every answer() call lands in exactly one counter, and a miss
@@ -168,11 +182,11 @@ class _KeyRaisingQuery:
 
 
 class TestSkippedInitGuard:
-    """The memo probe is narrow: only a missing cache disables it.
+    """A key that cannot be computed surfaces its error.
 
-    Regression for the blanket ``except AttributeError`` that used to
-    wrap the whole cache path: an AttributeError raised while computing
-    ``query.cache_key`` was indistinguishable from a skipped
+    Regression for the blanket ``except AttributeError`` that once
+    wrapped the whole cache path: an AttributeError raised while
+    computing ``query.cache_key`` was mistaken for a skipped
     ``__init__``, so broken queries were silently served uncached on
     every call instead of surfacing the error.
     """
@@ -185,15 +199,6 @@ class TestSkippedInitGuard:
         assert engine.calls == 0
         assert engine.cache_stats() == (0, 0)
 
-    def test_skipped_init_still_answers_uncached(self):
-        engine = CountingEngine.__new__(CountingEngine)
-        engine.calls = 0  # CountingEngine.__init__ skipped entirely
-        query = make_query(0)
-        first = engine.answer(query)
-        second = engine.answer(query)
-        assert first == second
-        assert engine.calls == 2  # no cache: every call computes
-
 
 class TestCachedAnswerPeek:
     def test_peek_is_uncounted_and_non_computing(self):
@@ -205,10 +210,6 @@ class TestCachedAnswerPeek:
         assert engine.cached_answer(query) is answer
         # The two peeks moved neither counter; only answer() did.
         assert engine.cache_stats() == (0, 1)
-
-    def test_peek_on_skipped_init_engine_is_none(self):
-        engine = CountingEngine.__new__(CountingEngine)
-        assert engine.cached_answer(make_query(0)) is None
 
 
 class EpochedEngine(CountingEngine):

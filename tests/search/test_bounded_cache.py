@@ -1,23 +1,39 @@
-"""Regressions for memo-cache None handling.
+"""The memo primitive's contract: ``None`` values, failures, the
+partial-result hook and the uncounted peek.
 
 ``BoundedCache.get`` used to compare the stored value against ``None``
 to decide hit vs miss, so a compute that legitimately returned ``None``
 recomputed on every lookup — and each re-``put`` of the existing key was
 miscounted as a hit, silently inflating the hit rate while doing the
-work of a miss.  Presence (via a private sentinel) now decides, and the
-sibling :class:`repro.core.runner.EvidenceCache` is pinned to the same
-contract.
+work of a miss.  Presence (via a private sentinel) now decides.  The
+``None`` cases run over :class:`repro.caching.BoundedCache` and its
+subclass :class:`repro.core.runner.EvidenceCache`.
 """
+
+import threading
 
 import pytest
 
+from repro.caching import BoundedCache
 from repro.core.runner import EvidenceCache
-from repro.search.caching import BoundedCache
+from repro.resilience.coverage import ShardCoverage, ShardCoverageLog
+
+
+def _boom():
+    raise RuntimeError("retrieval failed")
+
+
+def _loss() -> ShardCoverage:
+    return ShardCoverage(
+        phase="test", query="q", total_shards=2, missing=(1,), reasons=("down",)
+    )
 
 
 class TestBoundedCacheNoneValues:
+    cache_class = BoundedCache
+
     def test_none_value_computes_once(self):
-        cache = BoundedCache(limit=8)
+        cache = self.cache_class(limit=8)
         calls = []
 
         def compute():
@@ -30,7 +46,7 @@ class TestBoundedCacheNoneValues:
         assert len(calls) == 1
 
     def test_none_value_counters_are_honest(self):
-        cache = BoundedCache(limit=8)
+        cache = self.cache_class(limit=8)
         cache.get_or_compute("k", lambda: None)
         cache.get_or_compute("k", lambda: None)
         counters = cache.counters()
@@ -40,13 +56,13 @@ class TestBoundedCacheNoneValues:
         assert counters.size == 1
 
     def test_get_counts_stored_none_as_hit(self):
-        cache = BoundedCache(limit=8)
+        cache = self.cache_class(limit=8)
         cache.put("k", None)
         assert cache.get("k", default="sentinel") is None
         assert cache.counters().hits == 1
 
     def test_get_absent_key_returns_default_without_counting(self):
-        cache = BoundedCache(limit=8)
+        cache = self.cache_class(limit=8)
         marker = object()
         assert cache.get("missing", marker) is marker
         assert cache.get("missing") is None
@@ -54,7 +70,7 @@ class TestBoundedCacheNoneValues:
         assert (counters.hits, counters.misses) == (0, 0)
 
     def test_none_survives_alongside_other_values(self):
-        cache = BoundedCache(limit=8)
+        cache = self.cache_class(limit=8)
         cache.put("none", None)
         cache.put("zero", 0)
         cache.put("empty", "")
@@ -65,38 +81,90 @@ class TestBoundedCacheNoneValues:
         assert len(cache) == 3
 
     def test_eviction_of_none_entry_recomputes(self):
-        cache = BoundedCache(limit=1)
+        cache = self.cache_class(limit=1)
         cache.get_or_compute("a", lambda: None)
         cache.get_or_compute("b", lambda: "other")  # evicts "a"
         calls = []
         cache.get_or_compute("a", lambda: calls.append(1))
         assert len(calls) == 1
 
+    def test_failed_compute_stores_nothing(self):
+        cache = self.cache_class(limit=8)
+        with pytest.raises(RuntimeError):
+            cache.get_or_compute("k", _boom)
+        assert "k" not in cache
+        counters = cache.counters()
+        assert (counters.hits, counters.misses) == (0, 0)
+        assert cache.get_or_compute("k", lambda: None) is None
+        assert cache.counters().misses == 1
 
-class TestEvidenceCacheNoneValues:
-    def test_none_value_computes_once(self):
-        cache = EvidenceCache(limit=8)
-        calls = []
+
+class TestEvidenceCacheNoneValues(TestBoundedCacheNoneValues):
+    """The same cases over the evidence memo, a ``BoundedCache``."""
+
+    cache_class = EvidenceCache
+
+
+class TestCoverageHook:
+    """``get_or_compute(coverage=...)``: the one partial-result rule."""
+
+    def test_loss_on_this_thread_is_returned_but_not_memoized(self):
+        cache = BoundedCache(limit=8)
+        log = ShardCoverageLog()
+
+        def partial():
+            log.record(_loss())
+            return "partial page"
+
+        assert cache.get_or_compute("k", partial, coverage=log) == "partial page"
+        assert "k" not in cache
+        counters = cache.counters()
+        assert (counters.hits, counters.misses, counters.size) == (0, 0, 0)
+        # The next lookup recomputes, and a full-coverage value memoizes.
+        assert cache.get_or_compute("k", lambda: "full", coverage=log) == "full"
+        assert cache.get("k") == "full"
+        assert cache.counters().misses == 1
+
+    def test_loss_on_another_thread_does_not_block_the_insert(self):
+        cache = BoundedCache(limit=8)
+        log = ShardCoverageLog()
 
         def compute():
-            calls.append(1)
-            return None
+            other = threading.Thread(target=log.record, args=(_loss(),))
+            other.start()
+            other.join(timeout=10)
+            assert not other.is_alive()
+            return "full page"
 
-        assert cache.get_or_compute("k", compute) is None
-        assert cache.get_or_compute("k", compute) is None
-        assert len(calls) == 1
-        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+        assert cache.get_or_compute("k", compute, coverage=log) == "full page"
+        assert len(log) == 1
+        assert "k" in cache
+        assert cache.counters().misses == 1
+
+    def test_loss_before_the_lookup_does_not_block_the_insert(self):
+        cache = BoundedCache(limit=8)
+        log = ShardCoverageLog()
+        log.record(_loss())
+        cache.get_or_compute("k", lambda: "full page", coverage=log)
         assert "k" in cache
 
-    def test_failed_compute_stores_nothing(self):
-        cache = EvidenceCache(limit=8)
+    def test_raising_compute_stores_nothing_with_the_hook(self):
+        cache = BoundedCache(limit=8)
+        log = ShardCoverageLog()
         with pytest.raises(RuntimeError):
-            cache.get_or_compute("k", self._boom)
+            cache.get_or_compute("k", _boom, coverage=log)
         assert "k" not in cache
-        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
-        assert cache.get_or_compute("k", lambda: None) is None
-        assert cache.stats.misses == 1
+        counters = cache.counters()
+        assert (counters.hits, counters.misses) == (0, 0)
+        assert cache.get_or_compute("k", lambda: 7, coverage=log) == 7
+        assert cache.counters().misses == 1
 
-    @staticmethod
-    def _boom():
-        raise RuntimeError("retrieval failed")
+
+class TestPeek:
+    def test_peek_moves_no_counter(self):
+        cache = BoundedCache(limit=8)
+        assert cache.peek("k") is None
+        cache.put("k", "v")
+        assert cache.peek("k") == "v"
+        counters = cache.counters()
+        assert (counters.hits, counters.misses) == (0, 1)

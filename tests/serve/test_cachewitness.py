@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.caching import BoundedCache
 from repro.cachewitness import (
     CacheCoherenceViolation,
     CacheWitness,
@@ -25,7 +26,6 @@ from repro.cachewitness import (
 from repro.core.config import StudyConfig, cache_witness_enabled
 from repro.core.world import World
 from repro.engines.base import Answer
-from repro.search.caching import BoundedCache
 from repro.serve.loadgen import LoadProfile, generate_requests
 from repro.serve.loop import answers_digest
 
@@ -224,10 +224,10 @@ class TestServeDigestUnchangedUnderWitness:
         )
         assert witnessed == baseline
         # And the witness really was attached to the serving caches.
-        assert witness_world.engines["Google"]._witness is not None
+        assert witness_world.engines["Google"]._answer_cache._witness is not None
         if not cache_witness_enabled():
             # Only a witness-free run has a witness-free baseline: under
             # `make cachewitness` the ambient flag arms *every* world,
             # and the comparison above is witness-vs-witness (still a
             # valid byte-identity check, just not a differential one).
-            assert serve_world.engines["Google"]._witness is None
+            assert serve_world.engines["Google"]._answer_cache._witness is None

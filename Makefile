@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test chaos sharded shard-chaos lint detlint conclint locklint cachelint lint-baseline conclint-baseline locklint-baseline cachelint-baseline lockwitness cachewitness bench bench-paper serve serve-smoke study calibrate stability examples clean
+.PHONY: install test chaos sharded shard-chaos lint detlint conclint locklint cachelint lint-baseline conclint-baseline locklint-baseline cachelint-baseline lockwitness cachewitness bench bench-paper serve serve-smoke study study-digests calibrate stability examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -89,6 +89,13 @@ serve-smoke:
 
 study:
 	python tools/run_full_study.py results/full
+
+# The seven study artifacts at seeds 7 and 11 against the digests pinned
+# in perfbench/digests.json: one rep each, exit 1 on any mismatch.  The
+# pins hold under Python 3.10 and 3.11; 3.12 moves five of them.
+study-digests:
+	python perfbench/run.py --workload study --seed 7 --seconds 1 --trace 0
+	python perfbench/run.py --workload study --seed 11 --seconds 1 --trace 0
 
 calibrate:
 	python tools/calibrate.py

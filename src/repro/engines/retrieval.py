@@ -15,6 +15,7 @@ brand/owned sources.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 
@@ -239,8 +240,15 @@ class Retriever:
         scores = self._scorer.score_all(reformulated)
         if not scores:
             return []
-        max_score = max(scores.values())
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+        # Only docs scoring at least the pool-th best score can make the
+        # pool, so sort just those: the same (-score, doc_id) prefix as a
+        # full sort, ties at the cutoff included.
+        top = heapq.nlargest(policy.candidate_pool, scores.values())
+        max_score, cutoff = top[0], top[-1]
+        ranked = sorted(
+            (kv for kv in scores.items() if kv[1] >= cutoff),
+            key=lambda kv: (-kv[1], kv[0]),
+        )
         return [
             (score / max_score, self._index.page(doc_id))
             for doc_id, score in ranked[: policy.candidate_pool]

@@ -49,6 +49,15 @@ class ContextWindow(Sequence[EvidenceSnippet]):
 
     def __init__(self, snippets: Iterable[EvidenceSnippet]) -> None:
         self._snippets = tuple(snippets)
+        parts: list[object] = ["ctx"]
+        for snippet in self._snippets:
+            parts.append(snippet.url)
+            parts.append(snippet.text)
+            # Stance maps matter too: ESI changes stances, not URLs.
+            for entity_id in sorted(snippet.entity_stance):
+                parts.append(entity_id)
+                parts.append(round(snippet.entity_stance[entity_id], 6))
+        self._fingerprint = derive_seed(*parts)
 
     def __len__(self) -> int:
         return len(self._snippets)
@@ -66,16 +75,10 @@ class ContextWindow(Sequence[EvidenceSnippet]):
 
         Two windows with the same snippets in a different order have
         different fingerprints — the mechanism behind order sensitivity.
+        Hashed once, at construction: neither a window nor its snippets
+        change afterwards, so a cached window is never mutated by a read.
         """
-        parts: list[object] = ["ctx"]
-        for snippet in self._snippets:
-            parts.append(snippet.url)
-            parts.append(snippet.text)
-            # Stance maps matter too: ESI changes stances, not URLs.
-            for entity_id in sorted(snippet.entity_stance):
-                parts.append(entity_id)
-                parts.append(round(snippet.entity_stance[entity_id], 6))
-        return derive_seed(*parts)
+        return self._fingerprint
 
     def support(self, entity_id: str) -> list[tuple[int, EvidenceSnippet]]:
         """(position, snippet) pairs mentioning ``entity_id``, in order."""

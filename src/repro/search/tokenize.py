@@ -45,7 +45,7 @@ def tokenize(text: str) -> list[str]:
     """Analyze ``text`` into index terms.
 
     >>> tokenize("Top 10 most reliable smartphones in 2025!")
-    ['10', 'most', 'reliabl', 'smartphon', '2025']
+    ['10', 'most', 'reliable', 'smartphone', '2025']
     """
     tokens = []
     word: list[str] = []

@@ -1,11 +1,22 @@
 """Tests for the Answer model, intent detection and the retriever."""
 
+import random
+
 import pytest
 
 from repro.engines.base import Answer, Citation
-from repro.engines.retrieval import SourcingPolicy, detect_intent
+from repro.engines.retrieval import Retriever, SourcingPolicy, detect_intent
 from repro.entities.intents import Intent
+from repro.search.bm25 import BM25Scorer
 from repro.webgraph.domains import SourceType
+
+#: Queries of all three intents, for real pools and jitter draws.
+QUERIES = (
+    "best airlines",
+    "best smartphones 2025",
+    "Buy iPhone 15 best price deals",
+    "How does Wi-Fi 7 work?",
+)
 
 
 class TestCitationAnswer:
@@ -186,13 +197,78 @@ class TestExplain:
         assert totals == sorted(totals, reverse=True)
 
     def test_persona_score_consistent_with_components(self, world):
-        policy = SourcingPolicy()
-        pool = world.retriever.candidates("best airlines", policy)[:5]
-        for relevance, page in pool:
-            total = world.retriever.persona_score(policy, page, relevance, "best airlines")
-            parts = world.retriever.score_components(policy, page, relevance, "best airlines")
-            assert total == pytest.approx(sum(parts.values()))
+        # Bit-for-bit: selection ranks by persona_score, explain() by the
+        # sum of the component dict; the two must never disagree.
+        retriever = world.retriever
+        for engine in world.ai_engines().values():
+            for intent in Intent:
+                policy = engine.policy.adapted_to(intent)
+                for query in QUERIES:
+                    for relevance, page in retriever.candidates(query, policy):
+                        total = retriever.persona_score(policy, page, relevance, query)
+                        parts = retriever.score_components(policy, page, relevance, query)
+                        assert total == sum(parts.values())
 
     def test_invalid_top(self, world):
         with pytest.raises(ValueError):
             world.retriever.explain("q", SourcingPolicy(), top=0)
+
+
+def full_sort_pool(scores, n, page):
+    """The full-sort oracle for :meth:`Retriever.candidates`."""
+    if not scores:
+        return []
+    max_score = max(scores.values())
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+    return [(score / max_score, page(doc_id)) for doc_id, score in ranked]
+
+
+class StubScorer:
+    """Returns fixed scores whatever the query."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def score_all(self, query):
+        return dict(self.scores)
+
+
+class TestCandidatePool:
+    """``candidates`` picks exactly the full sort's top ``candidate_pool``."""
+
+    def test_real_queries_match_full_sort(self, world):
+        scorer = BM25Scorer(world.search_engine.index)
+        page = world.search_engine.index.page
+        policies = [engine.policy for engine in world.ai_engines().values()]
+        policies += [SourcingPolicy(candidate_pool=n) for n in (1, 7, 500)]
+        for policy in policies:
+            for query in QUERIES:
+                reformulated = " ".join((query, *policy.reformulation_terms))
+                expected = full_sort_pool(
+                    scorer.score_all(reformulated), policy.candidate_pool, page
+                )
+                assert world.retriever.candidates(query, policy) == expected
+
+    @pytest.mark.parametrize("draw", range(6))
+    def test_ties_straddling_the_cutoff(self, world, monkeypatch, draw):
+        # Few distinct values over many docs, inserted out of doc_id
+        # order: every cutoff falls inside a tie.
+        rng = random.Random(draw)
+        doc_ids = rng.sample(range(world.search_engine.index.doc_count), 30)
+        scores = {doc_id: rng.choice((0.5, 1.25, 2.0, 3.5)) for doc_id in doc_ids}
+        retriever = Retriever(world.corpus, world.registry, world.search_engine)
+        monkeypatch.setattr(retriever, "_scorer", StubScorer(scores))
+        page = world.search_engine.index.page
+        for n in (1, 2, 5, 13, 29, 30, 31, 64):
+            expected = full_sort_pool(scores, n, page)
+            assert retriever.candidates("q", SourcingPolicy(candidate_pool=n)) == expected
+
+    def test_pool_sizes_around_candidate_pool(self, world, monkeypatch):
+        retriever = Retriever(world.corpus, world.registry, world.search_engine)
+        page = world.search_engine.index.page
+        policy = SourcingPolicy(candidate_pool=8)
+        for size in (0, 1, 7, 8, 9, 40):
+            # Every doc ties with its neighbour, so cutoffs split ties.
+            scores = {doc_id: float(1 + doc_id // 2) for doc_id in range(size)}
+            monkeypatch.setattr(retriever, "_scorer", StubScorer(scores))
+            assert retriever.candidates("q", policy) == full_sort_pool(scores, 8, page)

@@ -1,9 +1,15 @@
 """Tests for RNG derivation and the context window."""
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis.perturbations import entity_swap_injection
+from repro.cachewitness import fingerprint as cache_fingerprint
+from repro.entities.catalog import build_default_catalog
 from repro.llm.context import ContextWindow, EvidenceSnippet
 from repro.llm.rng import derive_rng, derive_seed
 
@@ -81,7 +87,9 @@ class TestContextWindow:
         assert window.fingerprint() != shuffled.fingerprint()
 
     def test_fingerprint_stable(self):
-        assert self.make_window().fingerprint() == self.make_window().fingerprint()
+        window = self.make_window()
+        assert window.fingerprint() == window.fingerprint()
+        assert window.fingerprint() == self.make_window().fingerprint()
 
     def test_fingerprint_sensitive_to_stances(self):
         a = ContextWindow([snip("https://d.com/1", {"e:a": 0.5})])
@@ -95,3 +103,33 @@ class TestContextWindow:
     def test_reordered_identity_keeps_fingerprint(self):
         window = self.make_window()
         assert window.reordered([0, 1, 2]).fingerprint() == window.fingerprint()
+
+    def test_fingerprint_survives_pickle(self):
+        window = self.make_window()
+        assert pickle.loads(pickle.dumps(window)).fingerprint() == window.fingerprint()
+
+    def test_fingerprint_leaves_a_cached_window_unchanged(self):
+        # EvidenceCache stores windows and the cache witness re-renders
+        # them on every hit, so reading the fingerprint must not write.
+        window = self.make_window()
+        before = cache_fingerprint(window)
+        window.fingerprint()
+        assert cache_fingerprint(window) == before
+
+    def test_derived_windows_get_their_own_fingerprint(self):
+        catalog = build_default_catalog()
+        entities = ["suvs:toyota", "suvs:honda", "suvs:kia"]
+        window = ContextWindow(
+            snip(f"https://d.com/{i}", {e: 0.2 * (i + 1)}, f"{catalog.get(e).name} is reliable.")
+            for i, e in enumerate(entities)
+        )
+        parent = window.fingerprint()
+        derived = [
+            window.reordered([1, 0, 2]),
+            window[:2],
+            entity_swap_injection(window, catalog, entities, random.Random(0), swap_fraction=1.0),
+        ]
+        for child in derived:
+            assert child.fingerprint() != parent
+            assert child.fingerprint() == ContextWindow(list(child)).fingerprint()
+        assert window.fingerprint() == parent

@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test chaos sharded shard-chaos lint detlint conclint locklint cachelint lint-baseline conclint-baseline locklint-baseline cachelint-baseline lockwitness cachewitness bench bench-paper serve serve-smoke study study-digests calibrate stability examples clean
+.PHONY: install test chaos sharded lint detlint conclint locklint cachelint lint-baseline conclint-baseline locklint-baseline cachelint-baseline lockwitness cachewitness bench bench-paper serve serve-smoke study study-digests calibrate stability examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -14,23 +14,28 @@ chaos:
 	REPRO_WORKERS=1 pytest tests/resilience/ -q
 	REPRO_WORKERS=4 pytest tests/resilience/ -q
 
-# The search/serve suites on the document-partitioned substrate plus
-# the serving gate: sharded results must be byte-identical to the
-# single-index engine at any shard count.
-sharded:
-	REPRO_SHARDS=1 REPRO_WORKERS=4 pytest tests/search/ tests/serve/ tests/engines/ -q
-	REPRO_SHARDS=4 REPRO_WORKERS=4 pytest tests/search/ tests/serve/ tests/engines/ -q
-	REPRO_SHARDS=4 python tools/serve_smoke.py
+# CI's three `sharded` legs: the search/serve/engine suites, the
+# serving gate and the seed-7 study on the document-partitioned
+# substrate at 1 shard, at 4, and at 4 under a *recoverable*
+# search.shard fault plan.  Faults recover inside the retry ladder, so
+# on every leg the pinned serve digest must reproduce and the study
+# JSON must equal the single-index run's byte for byte.  (Unrecoverable
+# plans are exercised by the partial-merge and chaos-serve suites.)
+#
+# One leg: $(1) shards, $(2) workers, $(3) the chaos plan (seed 5) or
+# nothing.
+define sharded_leg
+	REPRO_SHARDS=$(1) REPRO_WORKERS=$(2) REPRO_CHAOS="$(3)" REPRO_CHAOS_SEED=5 pytest tests/search/ tests/serve/ tests/engines/ -q
+	REPRO_SHARDS=$(1) REPRO_CHAOS="$(3)" REPRO_CHAOS_SEED=5 python tools/serve_smoke.py
+	REPRO_SHARDS=$(1) REPRO_WORKERS=$(2) python -m repro run --seed 7 --json results/sharded/leg.json $(if $(3),--chaos "$(3)" --chaos-seed 5) > /dev/null
+	cmp results/sharded/single.json results/sharded/leg.json
+endef
 
-# Deterministic shard chaos: the search/serve/engine suites and the
-# serving gate with a *recoverable* search.shard fault plan injected
-# into every scatter.  Faults recover inside the retry ladder, so every
-# byte-identity assertion — and the pinned serve digest — must still
-# hold.  (Unrecoverable plans are exercised by the partial-merge and
-# chaos-serve suites themselves.)
-shard-chaos:
-	REPRO_SHARDS=4 REPRO_CHAOS="search.shard:0.3:2:error" REPRO_CHAOS_SEED=5 pytest tests/search/ tests/serve/ tests/engines/ -q
-	REPRO_SHARDS=4 REPRO_CHAOS="search.shard:0.3:2:error" REPRO_CHAOS_SEED=5 python tools/serve_smoke.py
+sharded:
+	REPRO_SHARDS=0 python -m repro run --seed 7 --json results/sharded/single.json > /dev/null
+	$(call sharded_leg,1,4,)
+	$(call sharded_leg,4,4,)
+	$(call sharded_leg,4,1,search.shard:0.3:2:error)
 
 lint: detlint conclint locklint cachelint
 

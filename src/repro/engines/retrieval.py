@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 
 from repro.entities.intents import Intent
 from repro.llm.rng import derive_rng
-from repro.search.bm25 import BM25Scorer
 from repro.search.engine import SearchEngine
 from repro.search.seo import freshness_decay
+from repro.search.tokenize import tokenize
 from repro.webgraph.corpus import Corpus
 from repro.webgraph.domains import DomainRegistry, SourceType
 from repro.webgraph.pages import Page
@@ -148,10 +148,11 @@ class Retriever:
     ) -> None:
         self._corpus = corpus
         self._registry = registry
-        # The engines share Google's *index* (one corpus, one index) but
-        # score candidates with pure BM25 — persona logic replaces SEO.
-        # Warmed eagerly so forked pool workers inherit the norm table.
-        self._scorer = BM25Scorer(search_engine.index).warm()
+        # The engines score candidates through Google's BM25 seam
+        # (SearchEngine.score_terms) but with pure BM25 — persona logic
+        # replaces SEO.  On a sharded world the pools thus go through
+        # the same scatter, fault site and coverage record as organic
+        # search.
         self._index = search_engine.index
         self._search_engine = search_engine
         #: Optional ResilienceContext guarding select_sources (the
@@ -237,7 +238,7 @@ class Retriever:
         reformulated = query_text
         if policy.reformulation_terms:
             reformulated = f"{query_text} {' '.join(policy.reformulation_terms)}"
-        scores = self._scorer.score_all(reformulated)
+        scores = self._search_engine.score_terms(tokenize(reformulated))
         if not scores:
             return []
         # Only docs scoring at least the pool-th best score can make the

@@ -5,7 +5,9 @@ Standard formulation with the non-negative IDF variant
 zero rather than negative — important in a small synthetic corpus where a
 vertical keyword can appear in most documents.
 
-:meth:`BM25Scorer.score_terms` is the query fast path: term-at-a-time
+:meth:`BM25Scorer.score_terms` is the query fast path behind
+:meth:`repro.search.engine.SearchEngine.score_terms`, the one scoring
+seam organic ranking and retrieval share: term-at-a-time
 accumulation over the index's frozen postings arrays, with the per-doc
 length norm ``k1 * (1 - b + b * dl/avgdl)`` precomputed once per index
 epoch so the per-posting work is one multiply-add and one divide.  It is
@@ -31,11 +33,13 @@ __all__ = ["BM25Scorer", "CorpusStats"]
 class CorpusStats(Protocol):
     """The corpus-level statistics BM25 reads: N, avgdl, and df.
 
-    An :class:`InvertedIndex` satisfies this directly (the single-shard
-    default).  A sharded deployment substitutes the merged
-    :class:`repro.search.sharding.GlobalStats` so every shard's scorer
-    sees corpus-wide numbers — the seam that makes per-shard scores
-    float-exact equal to single-shard scores.
+    An :class:`InvertedIndex` satisfies this directly (the single-index
+    default).  A sharded engine hands each shard's scorer the merged
+    :class:`repro.search.sharding.GlobalStats` instead, so every shard
+    scores with corpus-wide numbers — what makes per-shard scores
+    float-exact equal to single-index scores.  (Its routed
+    :class:`~repro.search.sharding.ShardedIndex` serves no postings and
+    has no scorer of its own.)
     """
 
     @property
@@ -50,10 +54,13 @@ class CorpusStats(Protocol):
 class BM25Scorer:
     """BM25 with tunable ``k1`` (tf saturation) and ``b`` (length norm).
 
+    One scorer per index: a :class:`~repro.search.engine.SearchEngine`
+    owns the one over its single index, a sharded engine one per shard,
+    and every consumer scores through the engine's ``score_terms``.
     ``stats`` defaults to the index itself; passing corpus-wide
     statistics instead changes *which numbers* feed the formula, never
     the operations or their order — so a shard scorer handed global
-    stats reproduces the single-shard floats exactly.  External stats
+    stats reproduces the single-index floats exactly.  External stats
     are a frozen snapshot: if the index grows, build a fresh scorer
     from re-exchanged stats (the sharded engine epoch-tags its scorers
     for exactly this).

@@ -6,6 +6,12 @@ per registrable domain, as Google clusters same-site results), and
 ``search_with_snippets`` additionally attaches query-biased snippets —
 the evidence format the generative engines consume.
 
+:meth:`SearchEngine.score_terms` is the one BM25 seam: organic ranking
+and the generative engines' candidate pools (:class:`repro.engines.
+retrieval.Retriever`) both score through it, so the sharded engine,
+whose scatter is its override of that method, puts both behind the
+same fault site and coverage record.
+
 The query path is an *exact fast path*: term-at-a-time BM25 accumulation
 over the frozen index (:meth:`BM25Scorer.score_terms`), per-page static
 blend components precomputed once per index epoch, bounded-heap top-m
@@ -14,8 +20,8 @@ when crowding exhausts the headroom), and a lock-guarded bounded query
 cache keyed on ``(analyzed terms, k, index epoch)``.  Every float it
 produces comes from the same operations in the same order as
 :meth:`search_reference` — the original score-everything-then-sort
-pipeline, kept verbatim as the equivalence oracle — so rankings, scores,
-and snippets are byte-identical (see
+pipeline, kept verbatim as the single-index equivalence oracle — so
+rankings, scores, and snippets are byte-identical (see
 ``tests/search/test_fastpath_equivalence.py`` and the "Query fast path"
 section of ``docs/architecture.md``).
 """
@@ -25,6 +31,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.caching import BoundedCache, CacheCounters
 from repro.search.bm25 import BM25Scorer
@@ -36,6 +43,9 @@ from repro.search.tokenize import tokenize
 from repro.webgraph.corpus import Corpus
 from repro.webgraph.domains import DomainRegistry
 from repro.webgraph.pages import Page
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.search.sharding import ShardedIndex
 
 __all__ = ["SearchEngine", "SearchResult", "Snippet"]
 
@@ -92,17 +102,23 @@ class SearchEngine:
     ) -> None:
         if max_per_domain < 1:
             raise ValueError("max_per_domain must be at least 1")
+        weights = weights or SeoWeights()
+        if type(weights) is not SeoWeights:
+            raise TypeError(
+                "weights must be exactly SeoWeights, not "
+                f"{type(weights).__name__}: the ranking precomputes the "
+                "blend's page terms, so a blend() override would be ignored"
+            )
         self._corpus = corpus
         self._registry = registry
-        self._weights = weights or SeoWeights()
+        self._weights = weights
         self._max_per_domain = max_per_domain
 
-        # The index seam: subclasses (the sharded engine) override
-        # _build_index to substitute a different postings substrate;
-        # everything downstream — scorer, caches, statics — is built
-        # against whatever comes back.
-        self._index: InvertedIndex = self._build_index(corpus)
-        self._scorer: BM25Scorer = BM25Scorer(self._index)
+        # The substrate seam: the sharded engine overrides _build_index,
+        # _warm and score_terms; everything downstream — caches,
+        # statics, ranking — reads only the index's epoch, pages and
+        # length table and the scores score_terms returns.
+        self._index: InvertedIndex | ShardedIndex = self._build_index(corpus)
 
         raw_rank = pagerank(corpus.link_graph)
         max_rank = max(raw_rank.values()) if raw_rank else 1.0
@@ -123,9 +139,7 @@ class SearchEngine:
         #: identical table).
         self._static_table: tuple[int, _Statics] | None = None
         #: World-level query-result cache: ``(terms, k, epoch)`` ->
-        #: tuple of :class:`SearchResult`.  Lock-guarded and bounded;
-        #: only the fast path uses it (a custom :class:`SeoWeights`
-        #: subclass routes through the uncached reference pipeline).
+        #: tuple of :class:`SearchResult`.  Lock-guarded and bounded.
         self._query_cache = BoundedCache(
             limit=self.QUERY_CACHE_LIMIT,
             site="SearchEngine._query_cache",
@@ -142,9 +156,12 @@ class SearchEngine:
         self._warm()
 
     def _build_index(self, corpus: Corpus) -> InvertedIndex:
-        """Build the postings substrate (the sharded engine overrides)."""
+        """Build the single index and its scorer (the sharded engine
+        overrides this and :meth:`score_terms`, with one scorer per
+        shard and none over its routed view)."""
         index = InvertedIndex()
         index.add_all(corpus.pages)
+        self._scorer = BM25Scorer(index)
         return index
 
     def _warm(self) -> None:
@@ -153,12 +170,13 @@ class SearchEngine:
         the sharing contract in repro.core.runner)."""
         self._index.freeze()
         self._scorer.warm()
-        if type(self._weights) is SeoWeights and self._corpus.pages:
+        if self._corpus.pages:
             self._statics()
 
     @property
-    def index(self) -> InvertedIndex:
-        """The underlying inverted index (read-only use)."""
+    def index(self) -> InvertedIndex | ShardedIndex:
+        """The underlying index (read-only use); on the sharded engine
+        a routed :class:`~repro.search.sharding.ShardedIndex`."""
         return self._index
 
     def domain_authority(self, domain: str) -> float:
@@ -171,6 +189,17 @@ class SearchEngine:
 
     # ------------------------------------------------------------------
     # Fast path
+
+    def score_terms(self, terms: Sequence[str]) -> dict[int, float]:
+        """BM25 scores of every document matching ``terms``: the one seam.
+
+        Organic ranking (:meth:`_rank_fast`) and the generative
+        engines' candidate pools both score through here.  Callers
+        select by ``(-score, doc_id)``, ``max`` or ``nlargest`` over
+        the values, never by the dict's order, which differs on the
+        sharded engine.
+        """
+        return self._scorer.score_terms(terms)
 
     def _statics(self) -> _Statics:
         """Per-doc ``(authority, seo, freshness)`` blend terms, weighted.
@@ -223,9 +252,11 @@ class SearchEngine:
         sort.  Host crowding then scans that prefix; if the ``m = k ×
         max_per_domain`` headroom is exhausted before ``k`` results are
         found, the selection falls back to the fully sorted pool, which
-        *is* the reference pipeline's order.
+        *is* the reference pipeline's order.  Nothing here reads the
+        score dict's order, so the sharded engine's union of per-shard
+        scores ranks through this same code.
         """
-        bm25 = self._scorer.score_terms(terms)
+        bm25 = self.score_terms(terms)
         if not bm25:
             return []
         max_bm25 = max(bm25.values())
@@ -299,10 +330,6 @@ class SearchEngine:
         """Organic top-``k`` for ``query``."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        if type(self._weights) is not SeoWeights:
-            # A blend override means the precomputed statics don't
-            # describe the ranking; take the uncached reference path.
-            return self.search_reference(query, k)
         terms = tuple(tokenize(query))
         ctx = self._resilience
         # A partial-coverage page (shards lost past the resilience
@@ -341,6 +368,8 @@ class SearchEngine:
 
         Property tests hold :meth:`search` to bit-identical output; do
         not "optimize" it — its value is being the unchanged original.
+        Single-index only: the sharded engine has no scorer over its
+        routed view.
         """
         if k < 1:
             raise ValueError("k must be at least 1")

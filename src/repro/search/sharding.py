@@ -1,13 +1,14 @@
-"""Document-partitioned sharded search with score-identical merge.
+"""Document-partitioned sharded search with score-identical results.
 
-Scale-out for the organic substrate: the corpus is partitioned across N
+Scale-out for the search substrate: the corpus is partitioned across N
 per-shard :class:`~repro.search.index.InvertedIndex` /
-:class:`~repro.search.bm25.BM25Scorer` pairs, and queries scatter to
-every shard and gather through an exact top-k merge.  The contract is
-**float-exactness**: for any shard count, :class:`ShardedSearchEngine`
-returns byte-identical results to the single-shard
-:class:`~repro.search.engine.SearchEngine` (and therefore to
-``search_reference``).  Three mechanisms carry that contract:
+:class:`~repro.search.bm25.BM25Scorer` pairs, and every BM25 query —
+organic ranking and the generative engines' candidate pools alike —
+scatters to every shard through :meth:`ShardedSearchEngine.score_terms`.
+The contract is **float-exactness**: for any shard count,
+:class:`ShardedSearchEngine` returns byte-identical results to the
+single-index :class:`~repro.search.engine.SearchEngine` (and therefore
+to its ``search_reference``).  Three mechanisms carry that contract:
 
 * **Pure partition function.** :func:`shard_of` is plain arithmetic on
   ``doc_id`` — no RNG, no state — so the assignment of documents to
@@ -21,17 +22,14 @@ returns byte-identical results to the single-shard
   corpus-wide numbers identical to the single index's, and the scoring
   *operations* are untouched, so per-document scores are float-exact.
 
-* **Scatter-gather top-k with exact merge.** Each shard runs the
-  term-at-a-time bounded-heap fast path with the same ``k x
-  max_per_domain`` headroom; because ``heapq.nsmallest(m, items)``
-  equals ``sorted(items)[:m]`` and every global top-m item is a top-m
-  item of its own shard, sorting the concatenated per-shard prefixes
-  and truncating to the headroom reproduces the single-shard selection
-  exactly.  Domain crowding is re-applied over that merged prefix; if
-  crowding exhausts it, the merge falls back to the fully sorted union
-  of *all* scored documents — the same fallback the single-shard path
-  takes.  The whole fast path stays gated by the exact-``SeoWeights``
-  check, so blend subclasses route to the uncached reference oracles.
+* **Scatter, then one ranker.** ``score_terms`` returns the union of
+  the per-shard score dicts.  Each document lives in one shard, so the
+  union holds exactly the single index's ``{doc_id: score}`` pairs,
+  only in another order, and every consumer selects by value — the
+  inherited ranker by ``(-score, doc_id)`` with ``max`` for
+  normalization, the retrieval pool by ``nlargest`` and the same key.
+  Both therefore pick exactly what they pick on the single index,
+  crowding fallback included, with no merge code of their own.
 
 Shard index builds parallelize over a ``fork`` process pool through the
 study runner's handshake, :func:`repro.forkpool.fork_inherit`: forked
@@ -43,15 +41,15 @@ preserving page identity for every downstream consumer.  Where ``fork``
 is unavailable the build degrades to threads with a warning, exactly
 like the study runner.
 
-Cache coherence: the facade :class:`ShardedIndex` exposes a
+Cache coherence: the routed view :class:`ShardedIndex` exposes a
 **composite epoch** — the sum of the shard epochs, a monotone mutation
-counter — so the engine's inherited query cache and every epoch-tagged
-table stay correct without knowing about shards.
+counter — so the engine's inherited query cache, the answer and
+evidence memos keyed on it, and every epoch-tagged table stay correct
+without knowing about shards.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -60,8 +58,8 @@ from repro.resilience.coverage import ShardCoverage
 from repro.resilience.faults import ResilienceExhausted
 from repro.resilience.quarantine import QuarantineRecord
 from repro.search.bm25 import BM25Scorer
-from repro.search.engine import SearchEngine, SearchResult
-from repro.search.index import InvertedIndex, Posting
+from repro.search.engine import SearchEngine
+from repro.search.index import InvertedIndex
 from repro.search.seo import SeoWeights
 from repro.webgraph.corpus import Corpus
 from repro.webgraph.domains import DomainRegistry
@@ -77,9 +75,6 @@ __all__ = [
     "partition_pages",
     "shard_of",
 ]
-
-_EMPTY_ARRAYS: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-
 
 def shard_of(doc_id: int, shard_count: int) -> int:
     """The shard owning ``doc_id`` — a pure function, no RNG.
@@ -99,8 +94,7 @@ def partition_pages(
     """Split pages into per-shard groups by :func:`shard_of`.
 
     Group order within a shard follows the input order, which for the
-    corpus generator is ascending ``doc_id`` — the property the merged
-    postings rely on.
+    corpus generator is ascending ``doc_id``.
     """
     groups: list[list[Page]] = [[] for _ in range(shard_count)]
     for page in pages:
@@ -276,64 +270,40 @@ def build_shard_indexes(
 
 
 # ----------------------------------------------------------------------
-# The facade index
+# The routed view
 
 
-class ShardedIndex(InvertedIndex):
-    """A read view over N shard indexes with global statistics.
+class ShardedIndex:
+    """A routed read view over N shard indexes.
 
-    Presents the full :class:`InvertedIndex` API — statistics from the
-    merged :class:`GlobalStats`, per-document accessors routed by
-    :func:`shard_of`, postings lazily merged by ascending ``doc_id`` —
-    so epoch-agnostic consumers (the retriever, the reference scorer)
-    work over a sharded corpus unchanged and produce the exact
-    single-index floats.
+    Serves what the engine and the retriever read of an index: pages
+    and adds routed by :func:`shard_of`, the merged doc-length table
+    the static-blend table enumerates, the document count, and the
+    :class:`GlobalStats` every shard scorer is built against.  It
+    serves no postings: every BM25 score comes from a shard's own
+    scorer, through :meth:`ShardedSearchEngine.score_terms`.
 
     :attr:`epoch` is the **composite epoch**: the sum of the shard
     epochs.  Each ``add`` bumps exactly one shard's counter by one, so
     the sum is a monotone global mutation counter and every
-    ``(..., epoch)``-keyed cache stays coherent.  The merged views held
-    here are epoch-tagged the same way the scorer's norm table is, so
-    they can never serve a stale merge.
+    ``(..., epoch)``-keyed cache and table stays coherent.
     """
 
-    def __init__(
-        self, shards: Sequence[InvertedIndex], title_boost: int = 3
-    ) -> None:
+    def __init__(self, shards: Sequence[InvertedIndex]) -> None:
         if not shards:
             raise ValueError("at least one shard is required")
-        super().__init__(title_boost)
         self._shard_indexes = tuple(shards)
         #: ``(epoch, GlobalStats)`` — re-exchanged when a shard grows.
         self._stats_table: tuple[int, GlobalStats] | None = None
-        #: ``(epoch, {term: merged arrays})`` — per-term merge memo,
-        #: dropped wholesale when the composite epoch moves.
-        self._merged_table: tuple[
-            int, dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
-        ] | None = None
         #: ``(epoch, (dense, lengths))`` — merged doc-length table.
         self._lengths_table: tuple[
             int, tuple[bool, Sequence[int] | Mapping[int, int]]
         ] | None = None
-        #: ``(epoch, {term: posting views})`` — merged Posting tuples,
-        #: epoch-tagged like :attr:`_merged_table` (the inherited
-        #: ``_views`` memo is reset by the single index's own ``add``;
-        #: the facade's ``add`` routes to a shard instead, so its memos
-        #: must carry the composite epoch themselves).
-        self._views_table: tuple[
-            int, dict[str, tuple[Posting, ...]]
-        ] | None = None
-
-    # -- sharding-specific API
 
     @property
     def shards(self) -> tuple[InvertedIndex, ...]:
         """The per-shard indexes (read-only use)."""
         return self._shard_indexes
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shard_indexes)
 
     def shard_for(self, doc_id: int) -> InvertedIndex:
         """The shard index owning ``doc_id``."""
@@ -353,8 +323,6 @@ class ShardedIndex(InvertedIndex):
         self._stats_table = (epoch, stats)
         return stats
 
-    # -- InvertedIndex API, routed/merged
-
     @property
     def epoch(self) -> int:
         """Composite epoch: the sum of the shard epochs (monotone)."""
@@ -371,35 +339,11 @@ class ShardedIndex(InvertedIndex):
         self.global_stats()
         return self
 
-    def postings_arrays(
-        self, term: str
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        epoch = self.epoch
-        tagged = self._merged_table
-        if tagged is None or tagged[0] != epoch:
-            tagged = (epoch, {})
-            self._merged_table = tagged
-        merged = tagged[1].get(term)
-        if merged is None:
-            pairs: list[tuple[int, int]] = []
-            for index in self._shard_indexes:
-                doc_ids, tfs = index.postings_arrays(term)
-                pairs.extend(zip(doc_ids, tfs))
-            if not pairs:
-                return _EMPTY_ARRAYS
-            # Ascending doc_id == the corpus generator's add order, so
-            # the merge equals the single index's build-ordered arrays.
-            pairs.sort()
-            merged = (
-                tuple(doc_id for doc_id, __ in pairs),
-                tuple(tf for __, tf in pairs),
-            )
-            tagged[1][term] = merged
-        return merged
-
     def doc_length_table(
         self,
     ) -> tuple[bool, Sequence[int] | Mapping[int, int]]:
+        """``(dense, table)`` over every shard's documents, like
+        :meth:`InvertedIndex.doc_length_table` of the single index."""
         epoch = self.epoch
         tagged = self._lengths_table
         if tagged is not None and tagged[0] == epoch:
@@ -424,30 +368,6 @@ class ShardedIndex(InvertedIndex):
         self._lengths_table = (epoch, merged)
         return merged
 
-    def postings(self, term: str) -> Sequence[Posting]:
-        doc_ids, tfs = self.postings_arrays(term)
-        if not doc_ids:
-            return ()
-        epoch = self.epoch
-        tagged = self._views_table
-        if tagged is None or tagged[0] != epoch:
-            tagged = (epoch, {})
-            self._views_table = tagged
-        view = tagged[1].get(term)
-        if view is None:
-            view = tuple(
-                Posting(doc_id=doc_id, term_frequency=tf)
-                for doc_id, tf in zip(doc_ids, tfs)
-            )
-            tagged[1][term] = view
-        return view
-
-    def document_frequency(self, term: str) -> int:
-        return self.global_stats().document_frequency(term)
-
-    def doc_length(self, doc_id: int) -> int:
-        return self.shard_for(doc_id).doc_length(doc_id)
-
     def page(self, doc_id: int) -> Page:
         return self.shard_for(doc_id).page(doc_id)
 
@@ -455,45 +375,24 @@ class ShardedIndex(InvertedIndex):
     def doc_count(self) -> int:
         return sum(index.doc_count for index in self._shard_indexes)
 
-    @property
-    def total_length(self) -> int:
-        return sum(index.total_length for index in self._shard_indexes)
-
-    @property
-    def average_doc_length(self) -> float:
-        count = self.doc_count
-        if not count:
-            return 0.0
-        # Integer total over integer count: the exact same division the
-        # single index performs, so the float is identical.
-        return self.total_length / count
-
-    def vocabulary_size(self) -> int:
-        return len(self.global_stats().df)
-
-    def __contains__(self, doc_id: int) -> bool:
-        return doc_id in self.shard_for(doc_id)
-
 
 # ----------------------------------------------------------------------
 # The sharded engine
 
 
 class ShardedSearchEngine(SearchEngine):
-    """Organic search over a document-partitioned corpus.
+    """Organic search and retrieval scoring over a partitioned corpus.
 
-    A drop-in :class:`SearchEngine`: the public query API, the caches,
-    the authority model and the reference oracles are all inherited.
-    What changes is underneath — :meth:`_build_index` partitions the
-    corpus and builds per-shard indexes (in parallel when ``builders >
-    1``), and :meth:`_rank_fast` scatters scoring across per-shard
-    scorers built against the broadcast :class:`GlobalStats`, then
-    gathers through the exact merge described in the module docstring.
-
-    The inherited ``search`` keeps its exact-``SeoWeights`` gate (blend
-    subclasses take the uncached reference path over the facade index)
-    and its epoch-keyed query cache — the facade's composite epoch
-    makes those keys coherent across shard mutations.
+    A drop-in :class:`SearchEngine`: the public query API, the ranker,
+    the caches and the authority model are all inherited.  What changes
+    is underneath — :meth:`_build_index` partitions the corpus and
+    builds per-shard indexes (in parallel when ``builders > 1``) behind
+    a :class:`ShardedIndex`, and :meth:`score_terms` scatters scoring
+    across per-shard scorers built against the broadcast
+    :class:`GlobalStats` and returns the union of their scores.  There
+    is no scorer over the routed view, so the single-index oracles
+    (:meth:`~SearchEngine.search_reference`) do not apply here; compare
+    against a plain :class:`SearchEngine` over the same corpus.
     """
 
     def __init__(
@@ -529,7 +428,7 @@ class ShardedSearchEngine(SearchEngine):
     def shard_count(self) -> int:
         return self._shard_count
 
-    def _build_index(self, corpus: Corpus) -> InvertedIndex:
+    def _build_index(self, corpus: Corpus) -> ShardedIndex:
         groups = partition_pages(corpus.pages, self._shard_count)
         shard_indexes = build_shard_indexes(
             groups,
@@ -539,9 +438,12 @@ class ShardedSearchEngine(SearchEngine):
         return ShardedIndex(shard_indexes)
 
     def _warm(self) -> None:
-        super()._warm()
-        if type(self._weights) is SeoWeights and self._corpus.pages:
-            self._shard_scorers()
+        # Freezing runs the stats exchange; the broadcast warms one
+        # scorer per shard.  No scorer is built over the routed view.
+        self._index.freeze()
+        self._shard_scorers()
+        if self._corpus.pages:
+            self._statics()
 
     def _shard_scorers(self) -> tuple[BM25Scorer, ...]:
         """Per-shard scorers bound to the current global stats.
@@ -564,53 +466,55 @@ class ShardedSearchEngine(SearchEngine):
         self._shard_scorer_table = (epoch, scorers)
         return scorers
 
-    # ------------------------------------------------------------------
-    # Resilient scatter
+    def score_terms(self, terms: Sequence[str]) -> dict[int, float]:
+        """Scatter scoring across shards; the union of their scores.
 
-    def _scatter_scores(self, terms: Sequence[str]) -> list:
-        """Scatter scoring across shards, fault-tolerantly.
+        Each document lives in exactly one shard, whose scorer reads
+        the broadcast global statistics, so every float in the union is
+        the single index's float for that document.
 
-        Without a resilience context this is the direct loop.  With one,
-        each shard scatter runs behind the ``search.shard`` fault site
-        — deterministic injection keyed ``(shard id, query text)``, the
-        retry ladder, a per-shard circuit breaker — and a shard that is
-        exhausted anyway contributes ``None`` instead of raising.  Lost
-        shards are recorded as a :class:`ShardCoverage` (plus a
-        ``degraded``-kind quarantine record, so report annotations pick
-        the cell up), and the caller merges the survivors.  Recoverable
-        faults recover *inside* the ladder, so they reach neither the
-        coverage log nor the merge: the scores list is then exactly the
-        direct loop's, which is what keeps recoverable chaos runs
-        byte-identical to clean ones.  The coverage record is also what
-        keeps a partial page out of every memo above the scatter (see
+        With a resilience context, each shard's scoring runs behind the
+        ``search.shard`` fault site — injection keyed ``(shard id,
+        query text)``, the retry ladder, a per-shard circuit breaker —
+        and a shard exhausted anyway contributes nothing instead of
+        raising.  The union then covers the survivors only, like a
+        corpus that never had the lost shards' documents, and callers
+        renormalize over it.  Lost shards are recorded as a
+        :class:`ShardCoverage` (plus a ``degraded`` quarantine record
+        for report annotations); that record keeps the partial result
+        out of every memo above the scatter (see
         :meth:`repro.caching.BoundedCache.get_or_compute`).
+        Recoverable faults recover *inside* the ladder and reach neither
+        the log nor the union, so recoverable chaos runs stay
+        byte-identical to clean ones.
         """
         scorers = self._shard_scorers()
+        scores: dict[int, float] = {}
         ctx = self._resilience
         if ctx is None:
-            return [scorer.score_terms(terms) for scorer in scorers]
+            for scorer in scorers:
+                scores.update(scorer.score_terms(terms))
+            return scores
         query = " ".join(terms)
-        shard_scores: list = []
         missing: list[int] = []
         reasons: list[str] = []
         attempts = 0
         for shard_id, scorer in enumerate(scorers):
             try:
-                scores = ctx.call(
-                    "search.shard",
-                    (shard_id, query),
-                    lambda scorer=scorer: scorer.score_terms(terms),
-                    engine=f"search.shard:{shard_id}",
+                scores.update(
+                    ctx.call(
+                        "search.shard",
+                        (shard_id, query),
+                        lambda scorer=scorer: scorer.score_terms(terms),
+                        engine=f"search.shard:{shard_id}",
+                    )
                 )
             except ResilienceExhausted as exc:
-                shard_scores.append(None)
                 missing.append(shard_id)
                 reasons.append(exc.reason)
                 attempts = max(attempts, exc.attempts)
-            else:
-                shard_scores.append(scores)
         if not missing:
-            return shard_scores
+            return scores
         coverage = ShardCoverage(
             phase=ctx.current_phase,
             query=query,
@@ -634,91 +538,4 @@ class ShardedSearchEngine(SearchEngine):
                 kind="degraded",
             )
         )
-        return shard_scores
-
-    def _rank_fast(self, terms: Sequence[str], k: int) -> list[SearchResult]:
-        """Scatter-gather top-``k``, float-exact vs the single-shard path.
-
-        Each shard scores its own documents (global stats, local
-        postings) and selects its bounded-heap top-``m`` with the same
-        ``m = k x max_per_domain`` headroom the single-shard path uses.
-        The gathered prefixes are sorted and truncated to ``m`` — by
-        the subset argument in the module docstring this equals
-        ``sorted(all items)[:m]`` exactly — then domain crowding runs
-        over the merged prefix.  If crowding exhausts it while scored
-        documents remain un-gathered, the fallback re-sorts the *full*
-        union, matching the single-shard fallback order.
-        """
-        return self._merge_ranked(self._scatter_scores(terms), k)
-
-    def _merge_ranked(
-        self, shard_scores: Sequence, k: int
-    ) -> list[SearchResult]:
-        """The exact gather half of the scatter: merge per-shard scores.
-
-        ``None`` entries (shards lost past the resilience ladder) and
-        empty dicts are skipped alike, so the merge over the survivors
-        is *by construction* the full merge of a corpus that never had
-        the lost shards' documents — float-exact for the shards that
-        answered, with ``max_bm25`` renormalized over the survivors
-        exactly as a smaller corpus would.  All shards lost means an
-        empty page, never an exception.
-        """
-        if not any(shard_scores):
-            return []
-        max_bm25 = max(
-            max(scores.values()) for scores in shard_scores if scores
-        )
-        statics = self._statics()
-        w_rel = self._weights.relevance
-        headroom = k * self._max_per_domain
-        pools: list[list[tuple[float, int]]] = []
-        gathered: list[tuple[float, int]] = []
-        total = 0
-        for scores in shard_scores:
-            if not scores:
-                continue
-            total += len(scores)
-            if max_bm25:
-                items = [
-                    (
-                        -(
-                            (
-                                w_rel * (raw / max_bm25)
-                                + (s := statics[doc_id])[0]
-                                + s[1]
-                            )
-                            + s[2]
-                        ),
-                        doc_id,
-                    )
-                    for doc_id, raw in scores.items()
-                ]
-            else:
-                items = [
-                    (
-                        -(
-                            (w_rel * 0.0 + (s := statics[doc_id])[0] + s[1])
-                            + s[2]
-                        ),
-                        doc_id,
-                    )
-                    for doc_id, raw in scores.items()
-                ]
-            pools.append(items)
-            if headroom < len(items):
-                gathered.extend(heapq.nsmallest(headroom, items))
-            else:
-                gathered.extend(items)
-        gathered.sort()
-        top: Sequence[tuple[float, int]] = (
-            gathered[:headroom] if headroom < len(gathered) else gathered
-        )
-        results = self._crowd(top, k)
-        if len(results) < k and len(top) < total:
-            # Crowding ate the merged headroom: fall back to the full
-            # ordering over every scored document, like the single shard.
-            full = [item for items in pools for item in items]
-            full.sort()
-            results = self._crowd(full, k)
-        return results
+        return scores

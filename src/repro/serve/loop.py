@@ -244,13 +244,24 @@ class ServeLoop:
             admission.release()
 
     def _compute(self, engine, request: ServeRequest, ctx):
-        """One cold-key computation behind the single-flight group."""
+        """One cold-key computation behind the single-flight group.
+
+        The leader peeks the memo again before computing: a flight for
+        the same key may have finished between :meth:`_serve_one`'s
+        peek and this one's start, and its answer is then a ``hit``,
+        not a second ``miss``.
+        """
         key = (request.engine, request.query.cache_key)
         mark = ctx.coverage.mark() if ctx is not None else 0
+
+        def lead():
+            cached = engine.cached_answer(request.query)
+            if cached is not None:
+                return cached, True
+            return engine.answer(request.query), False
+
         try:
-            answer, led = self.flight.do(
-                key, lambda: engine.answer(request.query)
-            )
+            (answer, memoized), led = self.flight.do(key, lead)
         except ResilienceExhausted as exc:
             # The retry ladder (or the breaker inside it) gave up:
             # degrade this request, with provenance, and keep serving.
@@ -283,6 +294,8 @@ class ServeLoop:
                 )
             )
             return "degraded", _degraded_answer(request.engine, request.query)
+        if led and memoized:
+            return "hit", answer
         if led and ctx is not None and ctx.coverage.recorded_since(mark):
             # The leader's retrieval lost shard coverage past the
             # ladder: the answer was served but never memoized, and the

@@ -8,6 +8,7 @@ from repro.engines.base import Answer, Citation
 from repro.engines.retrieval import Retriever, SourcingPolicy, detect_intent
 from repro.entities.intents import Intent
 from repro.search.bm25 import BM25Scorer
+from repro.search.index import InvertedIndex
 from repro.webgraph.domains import SourceType
 
 #: Queries of all three intents, for real pools and jitter draws.
@@ -223,21 +224,14 @@ def full_sort_pool(scores, n, page):
     return [(score / max_score, page(doc_id)) for doc_id, score in ranked]
 
 
-class StubScorer:
-    """Returns fixed scores whatever the query."""
-
-    def __init__(self, scores):
-        self.scores = scores
-
-    def score_all(self, query):
-        return dict(self.scores)
-
-
 class TestCandidatePool:
     """``candidates`` picks exactly the full sort's top ``candidate_pool``."""
 
     def test_real_queries_match_full_sort(self, world):
-        scorer = BM25Scorer(world.search_engine.index)
+        # A single index of its own: the world's may be a sharded view.
+        index = InvertedIndex()
+        index.add_all(world.corpus.pages)
+        scorer = BM25Scorer(index)
         page = world.search_engine.index.page
         policies = [engine.policy for engine in world.ai_engines().values()]
         policies += [SourcingPolicy(candidate_pool=n) for n in (1, 7, 500)]
@@ -257,7 +251,7 @@ class TestCandidatePool:
         doc_ids = rng.sample(range(world.search_engine.index.doc_count), 30)
         scores = {doc_id: rng.choice((0.5, 1.25, 2.0, 3.5)) for doc_id in doc_ids}
         retriever = Retriever(world.corpus, world.registry, world.search_engine)
-        monkeypatch.setattr(retriever, "_scorer", StubScorer(scores))
+        monkeypatch.setattr(world.search_engine, "score_terms", lambda terms: dict(scores))
         page = world.search_engine.index.page
         for n in (1, 2, 5, 13, 29, 30, 31, 64):
             expected = full_sort_pool(scores, n, page)
@@ -270,5 +264,7 @@ class TestCandidatePool:
         for size in (0, 1, 7, 8, 9, 40):
             # Every doc ties with its neighbour, so cutoffs split ties.
             scores = {doc_id: float(1 + doc_id // 2) for doc_id in range(size)}
-            monkeypatch.setattr(retriever, "_scorer", StubScorer(scores))
+            monkeypatch.setattr(
+                world.search_engine, "score_terms", lambda terms, scores=scores: dict(scores)
+            )
             assert retriever.candidates("q", policy) == full_sort_pool(scores, 8, page)

@@ -8,7 +8,7 @@ exactly the reference-style ranking of the documents the surviving
 shards scored — same urls, same floats, same crowding — with
 ``max_bm25`` renormalized over the survivors.  The oracle below is the
 reference pipeline rebuilt from per-shard score dicts (full sort, then
-crowding), deliberately independent of ``_merge_ranked``'s bounded-heap
+crowding), deliberately independent of ``_rank_fast``'s bounded-heap
 prefix and fallback machinery.
 
 Recoverable plans must leave no trace at all: they recover inside the

@@ -57,10 +57,11 @@ def shard_world(request):
 def _chaos_context():
     """A resilience context from ``REPRO_CHAOS``, or ``None``.
 
-    The ``make shard-chaos`` leg sets a *recoverable* ``search.shard``
-    plan, so this whole suite re-runs with deterministic faults inside
-    every scatter — and every byte-identity assertion must still hold,
-    because recoverable faults recover inside the retry ladder.
+    The chaos leg of ``make sharded`` sets a *recoverable*
+    ``search.shard`` plan, so this whole suite re-runs with
+    deterministic faults inside every scatter — and every byte-identity
+    assertion must still hold, because recoverable faults recover
+    inside the retry ladder.
     """
     from repro.core.config import default_chaos_plan
     from repro.resilience import (
@@ -159,11 +160,11 @@ class TestShardedEquivalence:
     def test_search_matches_reference_exactly(
         self, shard_world, sharded_engines, shards
     ):
-        seed, catalog, __, __, __ = shard_world
+        seed, catalog, __, __, single = shard_world
         sharded = sharded_engines(shards)
         for query in _workload(catalog, seed):
             fast = sharded.search(query, 10)
-            ref = sharded.search_reference(query, 10)
+            ref = single.search_reference(query, 10)
             assert [(r.url, r.score) for r in fast] == [
                 (r.url, r.score) for r in ref
             ]
@@ -204,20 +205,12 @@ class TestShardedEquivalence:
         index = single.index
         assert facade.doc_count == index.doc_count
         assert facade.epoch == index.epoch  # composite == total adds
-        assert facade.vocabulary_size() == index.vocabulary_size()
         dense_a, table_a = facade.doc_length_table()
         dense_b, table_b = index.doc_length_table()
         assert dense_a == dense_b
         assert list(table_a) == list(table_b)
-        for term in ("best", "smartphone", "battery", "hotel"):
-            assert facade.postings_arrays(term) == index.postings_arrays(term)
-            assert tuple(facade.postings(term)) == tuple(index.postings(term))
         probe = corpus.pages[17]
         assert facade.page(probe.doc_id) is probe
-        assert probe.doc_id in facade
-        assert facade.doc_length(probe.doc_id) == index.doc_length(
-            probe.doc_id
-        )
 
     def test_shard_scorer_scores_bit_identical(self, shard_world):
         """The broadcast half: per-shard scores with global stats union
@@ -300,7 +293,10 @@ class TestShardEdgeCases:
         facade = sharded.index
         assert isinstance(facade, ShardedIndex)
         assert sum(1 for s in facade.shards if s.doc_count == 0) == 5
-        assert facade.average_doc_length == single.index.average_doc_length
+        assert (
+            facade.global_stats().average_doc_length
+            == single.index.average_doc_length
+        )
         for query in ("smartphone camera", "laptop battery", "nothing here"):
             assert [
                 (r.url, r.score) for r in single.search(query, 5)
@@ -309,12 +305,14 @@ class TestShardEdgeCases:
     def test_merge_crowding_fallback_is_exercised_and_exact(
         self, shard_world, monkeypatch
     ):
-        """With max_per_domain=1 the merged headroom prefix can run dry;
-        the merge's full-union fallback must reproduce the reference."""
+        """With max_per_domain=1 the headroom prefix over the shards'
+        union can run dry; the full-sort fallback must reproduce the
+        single-index reference."""
         seed, catalog, registry, corpus, __ = shard_world
         sharded = ShardedSearchEngine(
             corpus, registry, max_per_domain=1, shards=4
         )
+        single = SearchEngine(corpus, registry, max_per_domain=1)
         crowd_calls = []
         original = SearchEngine._crowd
 
@@ -330,23 +328,18 @@ class TestShardEdgeCases:
                 fast = sharded.search(query, k)
                 if len(crowd_calls) == 2:
                     fallbacks += 1
-                ref = sharded.search_reference(query, k)
+                ref = single.search_reference(query, k)
                 assert [(r.url, r.score) for r in fast] == [
                     (r.url, r.score) for r in ref
                 ]
         assert fallbacks > 0, "workload never exhausted the merged headroom"
 
     def test_blend_subclass_routes_to_reference(self, shard_world):
+        """A blend subclass is rejected at construction: the ranking
+        precomputes the blend's page terms and would ignore it."""
         __, __, registry, corpus, __ = shard_world
-        boosted = ShardedSearchEngine(
-            corpus, registry, _BoostedAuthority(), shards=4
-        )
-        query = "best smartphones"
-        assert [(r.url, r.score) for r in boosted.search(query, k=10)] == [
-            (r.url, r.score) for r in boosted.search_reference(query, k=10)
-        ]
-        # The reference path never touches the query cache.
-        assert boosted.query_cache_stats().misses == 0
+        with pytest.raises(TypeError, match="_BoostedAuthority"):
+            ShardedSearchEngine(corpus, registry, _BoostedAuthority(), shards=4)
 
     def test_sparse_doc_ids(self):
         """Non-contiguous ids: routing stays pure-arithmetic and the
@@ -440,7 +433,7 @@ class TestParallelBuildEquivalence:
 
 
 class _BoostedAuthority(SeoWeights):
-    """A blend override: the fast path must not apply to subclasses."""
+    """A blend override, which the engines must refuse."""
 
     def blend(self, relevance, authority, on_page_seo, age_days):
         return (

@@ -100,6 +100,34 @@ class TestCoalescedServingEquivalence:
             __, misses = serve_world.engines[engine].cache_stats()
             assert misses == len(queries)
 
+    def test_flight_leader_rechecks_the_memo(self, serve_world, monkeypatch):
+        """A key memoized between the loop's peek and its flight is a hit.
+
+        Replays the race deterministically: the memo is primed, but the
+        loop's first peek misses, as if another flight for the key had
+        finished just after it.
+        """
+        query = query_pool(serve_world.catalog, 1, seed=24)[0]
+        engine = serve_world.engines["Claude"]
+        memoized = engine.answer(query)
+        peek = engine.cached_answer
+        peeks = []
+
+        def first_peek_misses(q):
+            peeks.append(q)
+            return None if len(peeks) == 1 else peek(q)
+
+        monkeypatch.setattr(engine, "cached_answer", first_peek_misses)
+        loop = serve_world.serve_loop(workers=1)
+        (result,) = loop.serve(_requests_for([query], engines=("Claude",)))
+        outcomes = loop.stats.snapshot().outcomes
+        assert result.outcome == "hit"
+        assert outcomes["hit"] == 1 and outcomes["miss"] == 0
+        assert result.answer is memoized
+        assert len(peeks) == 2
+        # The flight never re-entered the memo's counted path.
+        assert engine.cache_stats() == (0, 1)
+
     def test_coalesced_requests_share_the_leaders_answer(self, serve_world):
         queries = query_pool(serve_world.catalog, 4, seed=23)
         loop = serve_world.serve_loop(workers=8)

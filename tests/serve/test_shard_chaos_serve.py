@@ -11,7 +11,9 @@ coverage at the serving tier:
   the answer is served (from the surviving shards' evidence), coverage
   provenance is populated, and *nothing* partial enters the memo — a
   re-drain recomputes instead of replaying the degraded answer as a
-  ``hit``.
+  ``hit``.  That holds for every engine that searches, since organic
+  ranking and the generative candidate pools share one scatter, and
+  for the study's evidence contexts.
 """
 
 import json
@@ -21,6 +23,7 @@ import pytest
 
 from repro.core.config import StudyConfig
 from repro.core.report import render_serve_stats
+from repro.core.study import ComparativeStudy
 from repro.core.world import World
 from repro.engines.registry import ENGINE_NAMES
 from repro.resilience import (
@@ -132,6 +135,56 @@ class TestUnrecoverableShardLoss:
         assert counts_second["partial"] == counts_first["partial"]
         # Deterministic even while degraded: same stream, same answers.
         assert answers_digest(first) == answers_digest(second)
+
+    def test_generative_retrieval_reports_the_lost_shard(self, chaos_world):
+        """GPT-4o, Claude and Perplexity score their candidate pools
+        through the same scatter as organic search: every request that
+        searched comes back ``partial``, and a second drain recomputes
+        it instead of replaying a memoized partial answer."""
+        if chaos_world.config.search_shards < 4:
+            pytest.skip("single-shard world: losing shard 2 needs 4 shards")
+        ctx = _install(chaos_world, "search.shard@2:1.0:inf")
+        queries = query_pool(chaos_world.catalog, 6, seed=31)
+        stream = _requests_for(queries, engines=("GPT-4o", "Claude", "Perplexity"))
+        first = chaos_world.serve_loop(workers=1).serve(stream)
+        second = chaos_world.serve_loop(workers=1).serve(stream)
+        # An answer cites sources exactly when its engine searched, and
+        # only Claude may answer from pre-training alone.
+        searched = [r for r in first if r.answer.citations]
+        assert searched
+        assert all(r.outcome == "partial" for r in searched)
+        assert all(
+            r.request.engine == "Claude" and not r.answer.citations
+            for r in first
+            if r.outcome != "partial"
+        )
+        assert ctx.coverage.count() > 0
+        assert all(
+            record.missing == (2,) for record in ctx.coverage.records()
+        )
+        for a, b in zip(first, second):
+            if a.outcome == "partial":
+                assert b.outcome == "partial"
+        assert answers_digest(first) == answers_digest(second)
+
+    def test_partial_evidence_never_enters_the_evidence_cache(
+        self, chaos_world
+    ):
+        """A Section 3.1 evidence context retrieved while a shard is
+        lost is returned, with provenance, but never stored."""
+        if chaos_world.config.search_shards < 4:
+            pytest.skip("single-shard world: losing shard 2 needs 4 shards")
+        ctx = _install(chaos_world, "search.shard@2:1.0:inf")
+        query = query_pool(chaos_world.catalog, 1, seed=33)[0]
+        context = ComparativeStudy(chaos_world)._evidence_context(query)
+        assert len(context) > 0
+        assert ctx.coverage.count() > 0
+        assert all(
+            record.missing == (2,) for record in ctx.coverage.records()
+        )
+        cache = chaos_world.evidence_cache
+        assert len(cache) == 0
+        assert cache.counters().misses == 0
 
     def test_recovery_after_plan_lift_restores_clean_digest(
         self, chaos_world

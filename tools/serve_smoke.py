@@ -27,10 +27,10 @@ at two worker widths and checks two kinds of baseline recorded in the
 
 Chaos leg: with ``REPRO_CHAOS`` set (see ``repro.core.config.
 default_chaos_plan``), the stream is served with that fault plan
-installed — ``make shard-chaos`` runs this gate under a *recoverable*
-``search.shard`` plan, and every exact gate must still pass: recoverable
-faults recover inside the retry ladder, so the digest and the
-absorption rate are byte-identical to the clean run.  (Unrecoverable
+installed — the third leg of ``make sharded`` runs this gate under a
+*recoverable* ``search.shard`` plan, and every exact gate must still
+pass: recoverable faults recover inside the retry ladder, so the
+digest and the absorption rate are byte-identical to the clean run.  (Unrecoverable
 plans are for the pytest suites; here they would — correctly — fail the
 digest gate.)
 

@@ -104,10 +104,10 @@ class World:
             )
         else:
             search_engine = SearchEngine(corpus, registry)
-        engines = build_engines(
-            corpus, registry, catalog, search_engine, study_seed=config.seed
-        )
         retriever = Retriever(corpus, registry, search_engine)
+        engines = build_engines(
+            corpus, catalog, search_engine, retriever, study_seed=config.seed
+        )
         _log.info(
             "ecosystem assembled: %d engines, index of %d docs (%.2fs)",
             len(engines), search_engine.index.doc_count,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from repro.entities.intents import Intent
@@ -28,7 +29,7 @@ from repro.webgraph.corpus import Corpus
 from repro.webgraph.domains import DomainRegistry, SourceType
 from repro.webgraph.pages import Page
 
-__all__ = ["Retriever", "ScoredCandidate", "SourcingPolicy", "detect_intent"]
+__all__ = ["Retriever", "ScoredCandidate", "SourcingPolicy", "detect_intent", "left_sum"]
 
 
 _TRANSACTIONAL_CUES = (
@@ -37,6 +38,20 @@ _TRANSACTIONAL_CUES = (
 )
 _TRANSACTIONAL_PREFIXES = ("buy ", "order ", "purchase ", "shop ")
 _INFORMATIONAL_CUES = ("how ", "what ", "why ", "explain", "works", "work?")
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` summed left to right, as builtin ``sum()`` does up to 3.11.
+
+    Python 3.12 made ``sum()`` over floats compensated, which rounds
+    differently in the last bits.  The persona score, its breakdown and
+    the pruned selection all fold through here, so on every interpreter
+    they agree with each other and with the 3.10/3.11 pins.
+    """
+    total: float = 0
+    for value in values:
+        total += value
+    return total
 
 
 def detect_intent(query_text: str) -> Intent:
@@ -97,6 +112,10 @@ class SourcingPolicy:
             raise ValueError("max_per_domain must be at least 1")
         if self.freshness_half_life_days <= 0:
             raise ValueError("freshness_half_life_days must be positive")
+        # The selection prunes by base + selection_jitter as an upper
+        # bound on each total; a negative spread would make it a lower one.
+        if not (math.isfinite(self.selection_jitter) and self.selection_jitter >= 0):
+            raise ValueError("selection_jitter must be finite and non-negative")
 
     def adapted_to(self, intent: Intent) -> "SourcingPolicy":
         """The persona after intent adaptation.
@@ -137,6 +156,56 @@ class ScoredCandidate:
     selected: bool
 
 
+#: Row codes of the source types: rows hold numbers, not enum members.
+_SOCIAL, _BRAND, _EARNED = 0, 1, 2
+_TYPE_CODES = {
+    SourceType.SOCIAL: _SOCIAL, SourceType.BRAND: _BRAND, SourceType.EARNED: _EARNED,
+}
+
+#: A page's persona signals, fixed once the world is built: source-type
+#: code, retailer flag, age in days, domain authority, quality and
+#: domain familiarity.
+_Row = tuple[int, bool, int, float, float, float]
+
+#: The persona score's components, in the order they are summed.
+_COMPONENTS = (
+    "relevance", "type_affinity", "freshness", "authority",
+    "quality", "familiarity", "jitter",
+)
+
+
+def _weighted(
+    policy: SourcingPolicy, row: _Row, relevance: float
+) -> tuple[float, float, float, float, float, float]:
+    """The jitter-free components of one page's persona score, weighted."""
+    kind, is_retailer, age, authority, quality, familiarity = row
+    if kind == _SOCIAL:
+        affinity = policy.social_affinity
+    elif kind == _BRAND:
+        affinity = policy.brand_affinity
+        if is_retailer:
+            affinity += policy.retailer_affinity
+    else:
+        affinity = policy.earned_affinity
+    return (
+        policy.relevance_weight * relevance,
+        affinity,
+        policy.freshness_weight * freshness_decay(age, policy.freshness_half_life_days),
+        policy.authority_weight * authority,
+        policy.quality_weight * quality,
+        policy.familiarity_pull * familiarity,
+    )
+
+
+def _jitter(policy: SourcingPolicy, query_text: str, page: Page) -> float:
+    """The deterministic per-(query, page) draw in ``[-j, j]``."""
+    if not policy.selection_jitter:
+        return 0.0
+    return derive_rng("select", query_text, page.url).uniform(
+        -policy.selection_jitter, policy.selection_jitter
+    )
+
+
 class Retriever:
     """Applies a :class:`SourcingPolicy` against the corpus."""
 
@@ -168,6 +237,18 @@ class Retriever:
             for domain, count in counts.items()
         }
 
+        # Every indexed page's persona signals, read once here instead of
+        # from the registry, clock, authority and familiarity tables on
+        # every rerank.  A page without a row (unregistered domain, or
+        # indexed after this) is read from the page itself.
+        index = self._index
+        dense, lengths = index.doc_length_table()
+        self._rows: dict[int, _Row] = {}
+        for doc_id in range(len(lengths)) if dense else lengths:
+            page = index.page(doc_id)
+            if page.domain in registry:
+                self._rows[doc_id] = self._page_row(page)
+
     @property
     def snippet_cache(self):
         """The world's shared per-page sentence cache (one per engine)."""
@@ -197,16 +278,24 @@ class Retriever:
         """Pre-training prominence of a domain in ``[0, 1]``."""
         return self._familiarity.get(domain, 0.0)
 
-    def _type_affinity(self, policy: SourcingPolicy, page: Page) -> float:
+    def _page_row(self, page: Page) -> _Row:
         record = self._registry.get(page.domain)
-        if record.source_type is SourceType.SOCIAL:
-            return policy.social_affinity
-        if record.source_type is SourceType.BRAND:
-            base = policy.brand_affinity
-            if record.is_retailer:
-                base += policy.retailer_affinity
-            return base
-        return policy.earned_affinity
+        return (
+            _TYPE_CODES[record.source_type],
+            record.is_retailer,
+            self._corpus.clock.age_days(page.published),
+            self._search_engine.domain_authority(page.domain),
+            page.quality,
+            self.familiarity(page.domain),
+        )
+
+    def _row(self, page: Page) -> _Row:
+        """``page``'s persona signals: its table row if the index holds
+        this very page at its doc id, else read from the page."""
+        row = self._rows.get(page.doc_id)
+        if row is None or self._index.page(page.doc_id) is not page:
+            return self._page_row(page)
+        return row
 
     def persona_score(
         self,
@@ -225,7 +314,7 @@ class Retriever:
 
         See :meth:`score_components` for the per-signal breakdown.
         """
-        return sum(
+        return left_sum(
             self.score_components(policy, page, relevance, query_text).values()
         )
 
@@ -263,23 +352,15 @@ class Retriever:
         query_text: str = "",
     ) -> dict[str, float]:
         """The persona score broken into named weighted contributions."""
-        age = self._corpus.clock.age_days(page.published)
-        jitter = 0.0
-        if policy.selection_jitter:
-            jitter = derive_rng("select", query_text, page.url).uniform(
-                -policy.selection_jitter, policy.selection_jitter
+        return dict(
+            zip(
+                _COMPONENTS,
+                (
+                    *_weighted(policy, self._row(page), relevance),
+                    _jitter(policy, query_text, page),
+                ),
             )
-        return {
-            "relevance": policy.relevance_weight * relevance,
-            "type_affinity": self._type_affinity(policy, page),
-            "freshness": policy.freshness_weight
-            * freshness_decay(age, policy.freshness_half_life_days),
-            "authority": policy.authority_weight
-            * self._search_engine.domain_authority(page.domain),
-            "quality": policy.quality_weight * page.quality,
-            "familiarity": policy.familiarity_pull * self.familiarity(page.domain),
-            "jitter": jitter,
-        }
+        )
 
     def explain(
         self,
@@ -320,7 +401,7 @@ class Retriever:
                     page=page,
                     relevance=relevance,
                     components=components,
-                    total=sum(components.values()),
+                    total=left_sum(components.values()),
                     selected=page.url in selected_urls,
                 )
             )
@@ -370,20 +451,37 @@ class Retriever:
         )
         if pool is None:
             pool = self.candidates(query_text, effective)
-        scored = [
-            (self.persona_score(effective, page, relevance, query_text), page)
-            for relevance, page in pool
-        ]
-        scored.sort(key=lambda item: (-item[0], item[1].doc_id))
-
+        # Every total is left_sum(base parts) + jitter, and the jitter
+        # never exceeds the spread, so base + spread bounds a total from
+        # above (rounding is monotone).  Walk the pages best base first
+        # and draw a jitter only while the next page's bound reaches the
+        # best drawn total: an undrawn page below it cannot outrank any
+        # page drawn so far.  Drawn pages leave the heap in the
+        # (-total, doc_id) order a full sort gives, pool order on ties.
+        spread = effective.selection_jitter
+        row = self._row
+        walk = sorted(
+            (-left_sum(_weighted(effective, row(page), relevance)), page.doc_id, position)
+            for position, (relevance, page) in enumerate(pool)
+        )
+        drawn: list[tuple[float, int, int]] = []
+        walked = 0
         selected: list[Page] = []
         per_domain: dict[str, int] = {}
-        for __, page in scored:
+        while len(selected) < effective.citations_per_answer:
+            while walked < len(walk) and (
+                not drawn or -walk[walked][0] + spread >= -drawn[0][0]
+            ):
+                neg_base, doc_id, position = walk[walked]
+                walked += 1
+                total = -neg_base + _jitter(effective, query_text, pool[position][1])
+                heapq.heappush(drawn, (-total, doc_id, position))
+            if not drawn:
+                break
+            page = pool[heapq.heappop(drawn)[2]][1]
             seen = per_domain.get(page.domain, 0)
             if seen >= effective.max_per_domain:
                 continue
             per_domain[page.domain] = seen + 1
             selected.append(page)
-            if len(selected) == effective.citations_per_answer:
-                break
         return selected

@@ -8,26 +8,35 @@ vertical keyword can appear in most documents.
 :meth:`BM25Scorer.score_terms` is the query fast path behind
 :meth:`repro.search.engine.SearchEngine.score_terms`, the one scoring
 seam organic ranking and retrieval share: term-at-a-time
-accumulation over the index's frozen postings arrays, with the per-doc
-length norm ``k1 * (1 - b + b * dl/avgdl)`` precomputed once per index
-epoch so the per-posting work is one multiply-add and one divide.  It is
+accumulation over per-term impact arrays.  Once the index freezes, a
+posting's gain ``idf * tf * (k1 + 1) / (tf + norm)`` (with the per-doc
+length norm ``norm = k1 * (1 - b + b * dl/avgdl)``) depends on nothing
+else, so :meth:`BM25Scorer.warm` computes every posting's gain once per
+index epoch and a query's first term fills the score dict in one
+``dict(zip(...))``, every later posting costing one add.  It is
 **bit-identical** to :meth:`score_terms_reference` — the original
 postings-walking implementation, kept as the equivalence oracle — because
-every float is produced by the same operations in the same order; the
-property tests in ``tests/search/test_fastpath_equivalence.py`` hold the
-two to exact equality.
+every float is produced by the same operations in the same order (and
+the first term's ``0.0 + gain`` is ``gain``); the property tests in
+``tests/search/test_fastpath_equivalence.py`` hold the two to exact
+equality.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from array import array
+from collections.abc import Sequence
 from typing import Protocol
 
 from repro.search.index import InvertedIndex
 from repro.search.tokenize import tokenize
 
 __all__ = ["BM25Scorer", "CorpusStats"]
+
+#: One term's ``(doc_ids, gains)``: the index's postings order, one BM25
+#: gain per posting, stored as C doubles (exactly the Python floats).
+_Impacts = tuple[tuple[int, ...], Sequence[float]]
 
 
 class CorpusStats(Protocol):
@@ -82,11 +91,11 @@ class BM25Scorer:
         self._stats: CorpusStats = stats if stats is not None else index
         self._k1 = k1
         self._b = b
-        #: ``(epoch, table)`` — per-doc ``k1 * (1 - b + b * dl/avgdl)``,
-        #: rebuilt lazily when the index epoch moves.  Published by a
-        #: single attribute store (see the sharing contract): a racing
-        #: rebuild under the thread executor swaps in an identical table.
-        self._norm_table: tuple[int, Sequence[float] | Mapping[int, float]] | None = None
+        #: ``(epoch, table)`` — term -> ``(doc_ids, gains)``, rebuilt
+        #: lazily when the index epoch moves.  Published by a single
+        #: attribute store (see the sharing contract): a racing rebuild
+        #: under the thread executor swaps in an identical table.
+        self._impact_table: tuple[int, dict[str, _Impacts]] | None = None
 
     def idf(self, term: str) -> float:
         """Non-negative inverse document frequency for an analyzed term."""
@@ -95,34 +104,44 @@ class BM25Scorer:
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
     def warm(self) -> "BM25Scorer":
-        """Precompute the norm table now (idempotent; returns self).
+        """Precompute the impact table now (idempotent; returns self).
 
-        Called at world assembly so forked pool workers inherit the table
-        instead of each rebuilding it on first query.
+        Every posting's gain ``idf * tf * (k1 + 1) / (tf + norm)``, the
+        reference's operands in its order, stored per term beside the
+        term's ``doc_ids``; terms whose idf is zero score nothing and are
+        left out.  Called at world assembly so forked pool workers
+        inherit the table instead of each rebuilding it on first query.
         """
         if self._stats.average_doc_length != 0.0:
-            self._norms()
+            self._impacts()
         return self
 
-    def _norms(self) -> Sequence[float] | Mapping[int, float]:
+    def _impacts(self) -> dict[str, _Impacts]:
         epoch = self._index.epoch
-        cached = self._norm_table
+        cached = self._impact_table
         if cached is not None and cached[0] == epoch:
             return cached[1]
         avg_len = self._stats.average_doc_length
         k1, b = self._k1, self._b
+        k1_plus_1 = k1 + 1.0
         dense, lengths = self._index.doc_length_table()
-        table: Sequence[float] | Mapping[int, float]
-        if dense:
-            # Same expression the reference evaluates per posting:
-            # k1 * (1.0 - b + b * (dl / avg_len)), hoisted per document.
-            table = [k1 * (1.0 - b + b * (dl / avg_len)) for dl in lengths]
-        else:
-            table = {
-                doc_id: k1 * (1.0 - b + b * (dl / avg_len))
-                for doc_id, dl in lengths.items()
-            }
-        self._norm_table = (epoch, table)
+        # The reference's per-posting norm, k1 * (1.0 - b + b * (dl /
+        # avg_len)), hoisted per document.
+        norms = {
+            doc_id: k1 * (1.0 - b + b * (dl / avg_len))
+            for doc_id, dl in (enumerate(lengths) if dense else lengths.items())
+        }
+        table: dict[str, _Impacts] = {}
+        for term, (doc_ids, tfs) in self._index.postings_table().items():
+            idf = self.idf(term)
+            if idf == 0.0:
+                continue
+            gains = [
+                idf * tf * k1_plus_1 / (tf + norms[doc_id])
+                for doc_id, tf in zip(doc_ids, tfs)
+            ]
+            table[term] = (doc_ids, array("d", gains))
+        self._impact_table = (epoch, table)
         return table
 
     def score_all(self, query: str) -> dict[int, float]:
@@ -131,23 +150,23 @@ class BM25Scorer:
 
     def score_terms(self, terms: Sequence[str]) -> dict[int, float]:
         """BM25 scores from pre-analyzed query terms (the fast path)."""
-        scores: dict[int, float] = {}
         if self._stats.average_doc_length == 0.0:
-            return scores
-        norms = self._norms()
-        k1_plus_1 = self._k1 + 1.0
-        postings_arrays = self._index.postings_arrays
-        get = scores.get
+            return {}
+        impacts = self._impacts().get
+        scores: dict[int, float] | None = None
         for term in terms:
-            idf = self.idf(term)
-            if idf == 0.0:
+            entry = impacts(term)
+            if entry is None:
                 continue
-            doc_ids, tfs = postings_arrays(term)
-            for doc_id, tf in zip(doc_ids, tfs):
-                scores[doc_id] = get(doc_id, 0.0) + (
-                    idf * tf * k1_plus_1 / (tf + norms[doc_id])
-                )
-        return scores
+            doc_ids, gains = entry
+            if scores is None:
+                # A term's doc ids are distinct, and 0.0 + gain == gain.
+                scores = dict(zip(doc_ids, gains))
+                continue
+            get = scores.get
+            for doc_id, gain in zip(doc_ids, gains):
+                scores[doc_id] = get(doc_id, 0.0) + gain
+        return {} if scores is None else scores
 
     def score_all_reference(self, query: str) -> dict[int, float]:
         """Reference scores for a raw query (see :meth:`score_terms_reference`)."""

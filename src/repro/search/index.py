@@ -7,13 +7,14 @@ trick that stands in for field-weighted scoring.
 
 The index has two phases.  During *build* (:meth:`add` / :meth:`add_all`)
 postings accumulate in per-term lists.  The first read through
-:meth:`freeze`, :meth:`postings_arrays` or :meth:`doc_length_table`
-freezes that state into immutable parallel arrays — one ``doc_ids`` tuple
-and one ``term_frequencies`` tuple per term, plus a doc-length table laid
-out densely when doc ids are contiguous — which the query fast path scans
-without per-call copies or per-posting object dispatch.  A later ``add``
-thaws the snapshot and bumps :attr:`epoch`, so anything keyed on
-``(..., epoch)`` can never serve stale results.
+:meth:`freeze`, :meth:`postings_arrays`, :meth:`postings_table` or
+:meth:`doc_length_table` freezes that state into immutable parallel
+arrays — one ``doc_ids`` tuple and one ``term_frequencies`` tuple per
+term, plus a doc-length table laid out densely when doc ids are
+contiguous — which the query fast path scans without per-call copies or
+per-posting object dispatch.  A later ``add`` thaws the snapshot and
+bumps :attr:`epoch`, so anything keyed on ``(..., epoch)`` can never
+serve stale results.
 
 For parallel shard builds (:mod:`repro.search.sharding`) the frozen
 arrays double as a wire format: a worker process builds an index, ships
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.search.tokenize import tokenize
 from repro.webgraph.pages import Page
@@ -248,6 +250,12 @@ class InvertedIndex:
         shared across calls.  Empty pair if the term is unseen.
         """
         return self._snapshot().arrays.get(term, _EMPTY_ARRAYS)
+
+    def postings_table(
+        self,
+    ) -> Mapping[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Every term's :meth:`postings_arrays`, in one read-only view."""
+        return MappingProxyType(self._snapshot().arrays)
 
     def doc_length_table(self) -> tuple[bool, Sequence[int] | Mapping[int, int]]:
         """``(dense, table)`` view of per-doc lengths.

@@ -1,14 +1,18 @@
 """Tests for the Answer model, intent detection and the retriever."""
 
+import dataclasses
+import math
 import random
 
 import pytest
 
+import repro.engines.retrieval as retrieval
 from repro.engines.base import Answer, Citation
-from repro.engines.retrieval import Retriever, SourcingPolicy, detect_intent
+from repro.engines.retrieval import Retriever, SourcingPolicy, detect_intent, left_sum
 from repro.entities.intents import Intent
 from repro.search.bm25 import BM25Scorer
 from repro.search.index import InvertedIndex
+from repro.search.seo import freshness_decay
 from repro.webgraph.domains import SourceType
 
 #: Queries of all three intents, for real pools and jitter draws.
@@ -84,6 +88,10 @@ class TestSourcingPolicy:
             SourcingPolicy(citations_per_answer=0)
         with pytest.raises(ValueError):
             SourcingPolicy(freshness_half_life_days=0)
+        for jitter in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SourcingPolicy(selection_jitter=jitter)
+        assert SourcingPolicy(selection_jitter=0.0).selection_jitter == 0.0
 
     def test_transactional_adaptation(self):
         policy = SourcingPolicy(earned_affinity=0.5, brand_affinity=0.1)
@@ -199,7 +207,7 @@ class TestExplain:
 
     def test_persona_score_consistent_with_components(self, world):
         # Bit-for-bit: selection ranks by persona_score, explain() by the
-        # sum of the component dict; the two must never disagree.
+        # left fold of the component dict; the two must never disagree.
         retriever = world.retriever
         for engine in world.ai_engines().values():
             for intent in Intent:
@@ -208,7 +216,7 @@ class TestExplain:
                     for relevance, page in retriever.candidates(query, policy):
                         total = retriever.persona_score(policy, page, relevance, query)
                         parts = retriever.score_components(policy, page, relevance, query)
-                        assert total == sum(parts.values())
+                        assert total == left_sum(parts.values())
 
     def test_invalid_top(self, world):
         with pytest.raises(ValueError):
@@ -222,6 +230,157 @@ def full_sort_pool(scores, n, page):
     max_score = max(scores.values())
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
     return [(score / max_score, page(doc_id)) for doc_id, score in ranked]
+
+
+def full_sort_selection(retriever, query, policy, *, intent=None, pool=None):
+    """The score-every-page-then-sort oracle for :meth:`Retriever.select_sources`."""
+    effective = policy.adapted_to(intent if intent is not None else detect_intent(query))
+    if pool is None:
+        pool = retriever.candidates(query, effective)
+    scored = [
+        (retriever.persona_score(effective, page, relevance, query), page)
+        for relevance, page in pool
+    ]
+    scored.sort(key=lambda item: (-item[0], item[1].doc_id))
+    selected = []
+    per_domain = {}
+    for __, page in scored:
+        seen = per_domain.get(page.domain, 0)
+        if seen >= effective.max_per_domain:
+            continue
+        per_domain[page.domain] = seen + 1
+        selected.append(page)
+        if len(selected) == effective.citations_per_answer:
+            break
+    return selected
+
+
+def original_components(world, policy, page, relevance, query):
+    """The persona components read from the page, the registry and the
+    world's tables on every call, as before the per-page rows."""
+    record = world.registry.get(page.domain)
+    if record.source_type is SourceType.SOCIAL:
+        affinity = policy.social_affinity
+    elif record.source_type is SourceType.BRAND:
+        affinity = policy.brand_affinity
+        if record.is_retailer:
+            affinity += policy.retailer_affinity
+    else:
+        affinity = policy.earned_affinity
+    age = world.corpus.clock.age_days(page.published)
+    jitter = 0.0
+    if policy.selection_jitter:
+        jitter = retrieval.derive_rng("select", query, page.url).uniform(
+            -policy.selection_jitter, policy.selection_jitter
+        )
+    return {
+        "relevance": policy.relevance_weight * relevance,
+        "type_affinity": affinity,
+        "freshness": policy.freshness_weight
+        * freshness_decay(age, policy.freshness_half_life_days),
+        "authority": policy.authority_weight
+        * world.search_engine.domain_authority(page.domain),
+        "quality": policy.quality_weight * page.quality,
+        "familiarity": policy.familiarity_pull * world.retriever.familiarity(page.domain),
+        "jitter": jitter,
+    }
+
+
+class TestPrunedSelection:
+    """``select_sources`` draws jitter only for pages that can still be
+    picked, and picks exactly what scoring every page would."""
+
+    def engine_policies(self, world):
+        return [engine.policy for engine in world.ai_engines().values()]
+
+    def test_engine_policies_intents_and_queries(self, world):
+        retriever = world.retriever
+        for policy in self.engine_policies(world):
+            for intent in Intent:
+                for query in QUERIES:
+                    expected = full_sort_selection(retriever, query, policy, intent=intent)
+                    assert retriever.select_sources(query, policy, intent=intent) == expected
+
+    def test_components_match_the_page_attributes(self, world):
+        retriever = world.retriever
+        for policy in self.engine_policies(world):
+            for intent in Intent:
+                effective = policy.adapted_to(intent)
+                for query in QUERIES:
+                    for relevance, page in retriever.candidates(query, effective):
+                        assert retriever.score_components(
+                            effective, page, relevance, query
+                        ) == original_components(world, effective, page, relevance, query)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"selection_jitter": 0.0},
+            {"selection_jitter": 1e6},
+            {"max_per_domain": 1},
+            {"max_per_domain": 1, "selection_jitter": 0.0},
+            {"citations_per_answer": 60, "candidate_pool": 40},
+            {"citations_per_answer": 60, "candidate_pool": 40, "max_per_domain": 1},
+        ],
+    )
+    def test_policy_edges(self, world, changes):
+        retriever = world.retriever
+        for policy in self.engine_policies(world):
+            edged = dataclasses.replace(policy, **changes)
+            for query in QUERIES:
+                expected = full_sort_selection(retriever, query, edged)
+                assert retriever.select_sources(query, edged) == expected
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.05, 0.3])
+    def test_tied_pool_from_a_few_domains(self, world, monkeypatch, jitter):
+        # Equal relevance, and only the domain-level signals weighted, so
+        # every page of a domain has the same base: with no jitter the
+        # totals tie at the bound.  Half the pages are copies the index
+        # does not hold, and the pool is out of doc_id order.
+        by_domain = {}
+        for page in world.corpus.pages:
+            by_domain.setdefault(page.domain, []).append(page)
+        domains = sorted(by_domain, key=lambda d: (-len(by_domain[d]), d))[:3]
+        pages = [page for domain in domains for page in by_domain[domain][:12]]
+        pages = [
+            dataclasses.replace(page) if n % 2 else page for n, page in enumerate(pages)
+        ]
+        random.Random(5).shuffle(pages)
+        pool = [(1.0, page) for page in pages]
+        retriever = Retriever(world.corpus, world.registry, world.search_engine)
+        monkeypatch.setattr(retriever, "candidates", lambda query, policy: list(pool))
+        for citations, per_domain in ((6, 2), (10, 4), (40, 12)):
+            policy = SourcingPolicy(
+                freshness_weight=0.0, quality_weight=0.0, selection_jitter=jitter,
+                citations_per_answer=citations, max_per_domain=per_domain,
+            )
+            for query in QUERIES:
+                expected = full_sort_selection(retriever, query, policy)
+                assert retriever.select_sources(query, policy) == expected
+                assert retriever.select_sources(query, policy, pool=pool) == expected
+
+    def test_draws_fewer_jitters_than_the_pool_holds(self, world, monkeypatch):
+        draws = []
+        real = retrieval.derive_rng
+
+        def counting(*components):
+            if components[0] == "select":
+                draws.append(components)
+            return real(*components)
+
+        monkeypatch.setattr(retrieval, "derive_rng", counting)
+        policy = world.engines["GPT-4o"].policy
+        query = "best smartphones 2025"
+        effective = policy.adapted_to(detect_intent(query))
+        pool = world.retriever.candidates(query, effective)
+        assert world.retriever.select_sources(query, policy)
+        assert 0 < len(draws) < len(pool)
+        # A spread far wider than any gap between bases prunes nothing.
+        draws.clear()
+        world.retriever.select_sources(
+            query, dataclasses.replace(policy, selection_jitter=1e6)
+        )
+        assert len(draws) == len(pool)
 
 
 class TestCandidatePool:

@@ -203,7 +203,7 @@ def _sparse_page(doc_id: int, title: str, body: str) -> Page:
 
 
 class TestSparseDocIds:
-    """Non-contiguous doc ids take the mapping branch of the norm table."""
+    """Non-contiguous doc ids take the mapping branch of the doc-length table."""
 
     def test_scores_bit_identical_on_sparse_index(self):
         index = InvertedIndex()

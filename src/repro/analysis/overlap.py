@@ -63,12 +63,21 @@ def domain_overlap(
         raise ValueError("empty workload")
 
     ai_systems = tuple(n for n in answers_by_system if n != baseline)
-    baseline_domains = [a.cited_domains() for a in answers_by_system[baseline]]
+    # Each answer's citations are normalized once, then shared by the
+    # baseline Jaccard and the cross-model statistics below.
+    domain_sets = {
+        name: [answer.cited_domains() for answer in answers]
+        for name, answers in answers_by_system.items()
+    }
+    baseline_domains = domain_sets[baseline]
 
-    per_query: dict[str, list[float]] = {name: [] for name in ai_systems}
-    for name in ai_systems:
-        for answer, base in zip(answers_by_system[name], baseline_domains):
-            per_query[name].append(jaccard(answer.cited_domains(), base))
+    per_query: dict[str, list[float]] = {
+        name: [
+            jaccard(domains, base)
+            for domains, base in zip(domain_sets[name], baseline_domains)
+        ]
+        for name in ai_systems
+    }
 
     mean_overlap = {
         name: sum(values) / len(values) for name, values in per_query.items()
@@ -79,7 +88,7 @@ def domain_overlap(
     cross_values = []
     unique_values = []
     for index in range(query_count):
-        sets = [answers_by_system[name][index].cited_domains() for name in ai_systems]
+        sets = [domain_sets[name][index] for name in ai_systems]
         cross_values.append(mean_pairwise_jaccard(sets))
         unique_values.append(unique_ratio(sets))
 

@@ -262,8 +262,8 @@ def _cache003(graph: CacheGraph) -> list[Finding]:
     findings: list[Finding] = []
     index, table = graph.index, graph.table
     # Per epoch-bearing class: which attrs do *bumping* methods rebind
-    # wholesale?  A memo reset inside the bumping method (``add()`` does
-    # ``self._views = {}``) licenses non-bumping writes to that memo.
+    # wholesale?  A memo reset inside the bumping method (say ``add()``
+    # doing ``self._memo = {}``) licenses non-bumping writes to that memo.
     for cls in sorted(table.epoch_bearing):
         counters = set(table.epoch_bearing[cls])
         cinfo = index.classes[cls]

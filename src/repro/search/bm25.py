@@ -175,8 +175,10 @@ class BM25Scorer:
     def score_terms_reference(self, terms: Sequence[str]) -> dict[int, float]:
         """The original posting-walk implementation, kept as the oracle.
 
-        Property tests assert ``score_terms`` matches this bit-for-bit;
-        do not "optimize" it — its value is being the unchanged original.
+        It walks each term's :meth:`~InvertedIndex.postings_arrays` with
+        the original operands in the original order.  Property tests
+        assert ``score_terms`` matches this bit-for-bit; do not
+        "optimize" it — its value is being the unchanged arithmetic.
         """
         scores: dict[int, float] = {}
         avg_len = self._stats.average_doc_length
@@ -186,11 +188,11 @@ class BM25Scorer:
             idf = self.idf(term)
             if idf == 0.0:
                 continue
-            for posting in self._index.postings(term):
-                tf = posting.term_frequency
+            doc_ids, tfs = self._index.postings_arrays(term)
+            for doc_id, tf in zip(doc_ids, tfs):
                 norm = 1.0 - self._b + self._b * (
-                    self._index.doc_length(posting.doc_id) / avg_len
+                    self._index.doc_length(doc_id) / avg_len
                 )
                 gain = idf * tf * (self._k1 + 1.0) / (tf + self._k1 * norm)
-                scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + gain
+                scores[doc_id] = scores.get(doc_id, 0.0) + gain
         return scores

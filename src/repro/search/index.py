@@ -6,24 +6,25 @@ are indexed with a configurable boost (counted multiple times), a standard
 trick that stands in for field-weighted scoring.
 
 The index has two phases.  During *build* (:meth:`add` / :meth:`add_all`)
-postings accumulate in per-term lists.  The first read through
-:meth:`freeze`, :meth:`postings_arrays`, :meth:`postings_table` or
-:meth:`doc_length_table` freezes that state into immutable parallel
-arrays — one ``doc_ids`` tuple and one ``term_frequencies`` tuple per
-term, plus a doc-length table laid out densely when doc ids are
-contiguous — which the query fast path scans without per-call copies or
-per-posting object dispatch.  A later ``add`` thaws the snapshot and
-bumps :attr:`epoch`, so anything keyed on ``(..., epoch)`` can never
-serve stale results.
+each term's postings accumulate in two parallel int lists, ``doc_ids``
+and ``term_frequencies`` — the one build-time store, with no object per
+posting.  The first read through :meth:`freeze`, :meth:`postings_arrays`,
+:meth:`postings_table` or :meth:`doc_length_table` freezes that state
+into immutable parallel arrays — the same pair as tuples per term, plus
+a doc-length table laid out densely when doc ids are contiguous — which
+the query fast path scans without per-call copies.  The lists stay
+behind after a freeze, so a later ``add`` simply appends to them and
+bumps :attr:`epoch`; the next read freezes afresh, and anything keyed on
+``(..., epoch)`` can never serve stale results.
 
 For parallel shard builds (:mod:`repro.search.sharding`) the frozen
 arrays double as a wire format: a worker process builds an index, ships
-:meth:`frozen_parts` home (plain tuples and ints — no ``Posting`` or
-``Page`` objects cross the pipe), and the parent reconstitutes it with
-:meth:`from_frozen_parts` against its own page objects.  An index built
-that way starts *lazy* — postings lists materialize from the arrays
-only if a later :meth:`add` thaws it — so reconstruction costs O(vocab)
-dict inserts, not O(postings) object builds.
+:meth:`frozen_parts` home (plain tuples and ints — no ``Page`` objects
+cross the pipe), and the parent reconstitutes it with
+:meth:`from_frozen_parts` against its own page objects.  The shipped
+tuples become the reconstituted index's frozen arrays as they are, and
+are copied into its build lists so that it takes a later :meth:`add`
+exactly like an index built in place.
 """
 
 from __future__ import annotations
@@ -35,15 +36,7 @@ from types import MappingProxyType
 from repro.search.tokenize import tokenize
 from repro.webgraph.pages import Page
 
-__all__ = ["InvertedIndex", "Posting"]
-
-
-@dataclass(frozen=True)
-class Posting:
-    """One document's entry in a term's postings list."""
-
-    doc_id: int
-    term_frequency: int
+__all__ = ["InvertedIndex"]
 
 
 @dataclass(frozen=True)
@@ -95,18 +88,15 @@ class InvertedIndex:
         if title_boost < 1:
             raise ValueError("title_boost must be at least 1")
         self._title_boost = title_boost
-        #: ``None`` marks a *lazy* index (built by
-        #: :meth:`from_frozen_parts`): the frozen snapshot is the
-        #: canonical store and postings lists materialize on demand.
-        self._postings: dict[str, list[Posting]] | None = {}
+        #: term -> ``(doc_ids, term_frequencies)``: parallel int lists
+        #: in build order, appended to by :meth:`add` and kept after a
+        #: freeze.
+        self._lists: dict[str, tuple[list[int], list[int]]] = {}
         self._doc_lengths: dict[int, int] = {}
         self._pages: dict[int, Page] = {}
         self._total_length = 0
         self._mutations = 0
         self._frozen: _FrozenPostings | None = None
-        #: Per-term tuple views handed out by :meth:`postings`, built
-        #: lazily and invalidated wholesale by :meth:`add`.
-        self._views: dict[str, tuple[Posting, ...]] = {}
 
     @classmethod
     def from_frozen_parts(
@@ -125,13 +115,17 @@ class InvertedIndex:
         the same documents — so every accessor returns the parent's
         instances, exactly as if the parent had built the index itself.
         The result is read-equivalent to ``add_all(pages)`` (same epoch,
-        same arrays, same statistics); a later :meth:`add` thaws the
-        snapshot into ordinary postings lists first.
+        same arrays, same statistics) and takes a later :meth:`add` the
+        same way.
         """
         index = cls(title_boost)
         index._pages = {page.doc_id: page for page in pages}
         if set(doc_lengths) != set(index._pages):
             raise ValueError("doc_lengths and pages disagree on doc ids")
+        index._lists = {
+            term: (list(doc_ids), list(tfs))
+            for term, (doc_ids, tfs) in arrays.items()
+        }
         index._doc_lengths = dict(doc_lengths)
         index._total_length = total_length
         index._mutations = len(index._pages)
@@ -139,7 +133,6 @@ class InvertedIndex:
         index._frozen = _FrozenPostings(
             epoch=index._mutations, arrays=arrays, lengths=lengths, dense=dense
         )
-        index._postings = None
         return index
 
     def frozen_parts(
@@ -157,24 +150,11 @@ class InvertedIndex:
         """
         return self._snapshot().arrays, dict(self._doc_lengths), self._total_length
 
-    def _thaw(self) -> dict[str, list[Posting]]:
-        """Materialize postings lists from the frozen arrays (lazy mode)."""
-        snapshot = self._frozen
-        assert snapshot is not None  # lazy mode always carries a snapshot
-        postings = {
-            term: [
-                Posting(doc_id=doc_id, term_frequency=tf)
-                for doc_id, tf in zip(doc_ids, tfs)
-            ]
-            for term, (doc_ids, tfs) in snapshot.arrays.items()
-        }
-        self._postings = postings
-        return postings
-
     def add(self, page: Page) -> None:
-        """Index one page (thaws any frozen snapshot; bumps the epoch)."""
-        if page.doc_id in self._pages:
-            raise ValueError(f"doc_id {page.doc_id} already indexed")
+        """Index one page (appends to the build lists; bumps the epoch)."""
+        doc_id = page.doc_id
+        if doc_id in self._pages:
+            raise ValueError(f"doc_id {doc_id} already indexed")
         term_counts: dict[str, int] = {}
         title_terms = tokenize(page.title)
         body_terms = tokenize(page.body)
@@ -184,17 +164,18 @@ class InvertedIndex:
             term_counts[term] = term_counts.get(term, 0) + 1
 
         length = self._title_boost * len(title_terms) + len(body_terms)
-        self._doc_lengths[page.doc_id] = length
+        self._doc_lengths[doc_id] = length
         self._total_length += length
-        self._pages[page.doc_id] = page
-        postings = self._postings if self._postings is not None else self._thaw()
+        self._pages[doc_id] = page
+        lists = self._lists
         for term, count in term_counts.items():
-            postings.setdefault(term, []).append(
-                Posting(doc_id=page.doc_id, term_frequency=count)
-            )
+            entry = lists.get(term)
+            if entry is None:
+                lists[term] = ([doc_id], [count])
+            else:
+                entry[0].append(doc_id)
+                entry[1].append(count)
         self._mutations += 1
-        if self._views:
-            self._views = {}
 
     def add_all(self, pages: Iterable[Page]) -> None:
         for page in pages:
@@ -226,13 +207,9 @@ class InvertedIndex:
         snapshot = self._frozen
         if snapshot is not None and snapshot.epoch == self._mutations:
             return snapshot
-        assert self._postings is not None  # lazy snapshots never go stale
         arrays = {
-            term: (
-                tuple(p.doc_id for p in plist),
-                tuple(p.term_frequency for p in plist),
-            )
-            for term, plist in self._postings.items()
+            term: (tuple(doc_ids), tuple(tfs))
+            for term, (doc_ids, tfs) in self._lists.items()
         }
         dense, lengths = _length_table(self._pages, self._doc_lengths)
         snapshot = _FrozenPostings(
@@ -269,36 +246,9 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     # Classic accessors
 
-    def postings(self, term: str) -> Sequence[Posting]:
-        """Postings for an (already analyzed) term; empty if unseen.
-
-        Returns an **immutable view** (a tuple, memoized per term) rather
-        than a fresh list copy — repeated calls share one object, and the
-        O(df) per-call garbage the old copy created is gone.
-        """
-        view = self._views.get(term)
-        if view is None:
-            if self._postings is None:
-                doc_ids, tfs = self._snapshot().arrays.get(term, _EMPTY_ARRAYS)
-                if not doc_ids:
-                    return ()
-                view = tuple(
-                    Posting(doc_id=doc_id, term_frequency=tf)
-                    for doc_id, tf in zip(doc_ids, tfs)
-                )
-            else:
-                plist = self._postings.get(term)
-                if plist is None:
-                    return ()
-                view = tuple(plist)
-            self._views[term] = view
-        return view
-
     def document_frequency(self, term: str) -> int:
         """Number of documents containing ``term``."""
-        if self._postings is None:
-            return len(self._snapshot().arrays.get(term, _EMPTY_ARRAYS)[0])
-        return len(self._postings.get(term, ()))
+        return len(self.postings_arrays(term)[0])
 
     def doc_length(self, doc_id: int) -> int:
         """Token count of a document (title boost included)."""
@@ -330,9 +280,7 @@ class InvertedIndex:
 
     def vocabulary_size(self) -> int:
         """Number of distinct indexed terms."""
-        if self._postings is None:
-            return len(self._snapshot().arrays)
-        return len(self._postings)
+        return len(self._lists)
 
     def __contains__(self, doc_id: int) -> bool:
         return doc_id in self._pages

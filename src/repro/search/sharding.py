@@ -34,8 +34,8 @@ to its ``search_reference``).  Three mechanisms carry that contract:
 Shard index builds parallelize over a ``fork`` process pool through the
 study runner's handshake, :func:`repro.forkpool.fork_inherit`: forked
 builders inherit the page groups copy-on-write and only compact frozen
-arrays (tuples of ints) come back over the pipe — never ``Posting`` or
-``Page`` objects.  The parent reconstitutes each shard against its
+arrays (tuples of ints) come back over the pipe — never ``Page``
+objects.  The parent reconstitutes each shard against its
 *own* page objects (:meth:`InvertedIndex.from_frozen_parts`),
 preserving page identity for every downstream consumer.  Where ``fork``
 is unavailable the build degrades to threads with a warning, exactly
@@ -146,7 +146,7 @@ class GlobalStats:
 
 def local_stats(shard_id: int, index: InvertedIndex) -> LocalStats:
     """One shard's phase-one report, read off its frozen arrays."""
-    arrays = index.freeze()._snapshot().arrays
+    arrays = index.postings_table()
     return LocalStats(
         shard_id=shard_id,
         doc_count=index.doc_count,
@@ -188,7 +188,7 @@ def exchange_global_stats(
 
 @dataclass(frozen=True)
 class _ShardParts:
-    """A worker-built shard's picklable core (no pages, no postings)."""
+    """A worker-built shard's picklable core (no page objects)."""
 
     arrays: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
     doc_lengths: dict[int, int]

@@ -147,13 +147,18 @@ class CorpusGenerator:
         for vertical_id in self._catalog.verticals():
             vertical = get_vertical(vertical_id)
             entities = self._catalog.in_vertical(vertical_id)
-            for domain in self._registry.covering(vertical_id):
+            # The registry is complete once brands are registered, so
+            # each vertical's domain lists are computed once, not per page.
+            covering = self._registry.covering(vertical_id)
+            social = [d for d in covering if d.source_type is SourceType.SOCIAL]
+            earned = [d for d in covering if d.source_type is SourceType.EARNED]
+            for domain in covering:
                 for page in self._domain_pages(
                     rng, domain, vertical, entities, doc_id
                 ):
                     pages.append(page)
                     doc_id += 1
-                    self._link_page(rng, graph, page, domain)
+                    self._link_page(rng, graph, page, domain, social, earned)
         return Corpus(pages=pages, link_graph=graph, clock=self._clock)
 
     # ------------------------------------------------------------------
@@ -454,7 +459,10 @@ class CorpusGenerator:
         graph: LinkGraph,
         page: Page,
         domain: DomainRecord,
+        social: Sequence[DomainRecord],
+        earned: Sequence[DomainRecord],
     ) -> None:
+        """Emit ``page``'s links; ``social``/``earned`` cover its vertical."""
         graph.add_node(domain.name)
         if domain.source_type is SourceType.EARNED:
             # Editorial pages link to the brands they cover...
@@ -465,17 +473,10 @@ class CorpusGenerator:
             # ...and frequently embed or cite UGC (YouTube videos, Reddit
             # threads), which is where the social platforms' enormous
             # real-world link authority comes from.
-            if rng.random() < 0.5:
-                social = [
-                    d for d in self._registry.covering(page.vertical)
-                    if d.source_type is SourceType.SOCIAL
-                ]
-                if social:
-                    graph.add_edge(domain.name, rng.choice(social).name)
+            if rng.random() < 0.5 and social:
+                graph.add_edge(domain.name, rng.choice(social).name)
         elif domain.source_type is SourceType.SOCIAL:
             # Threads link to the editorial pieces they discuss.
-            earned = self._registry.covering(page.vertical)
-            earned = [d for d in earned if d.source_type is SourceType.EARNED]
             if earned:
                 target = rng.choice(earned)
                 graph.add_edge(domain.name, target.name)

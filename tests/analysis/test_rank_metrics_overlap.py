@@ -128,3 +128,31 @@ class TestDomainOverlap:
         }
         report = domain_overlap(answers, baseline="Gemini")
         assert set(report.mean_overlap) == {"Google", "AI"}
+
+    def test_each_citation_normalized_once(self, monkeypatch):
+        import repro.engines.base as base
+
+        calls = []
+        real = base.normalize_url
+
+        def counting(url):
+            calls.append(url)
+            return real(url)
+
+        monkeypatch.setattr(base, "normalize_url", counting)
+        answers = {
+            "Google": [
+                answer("Google", "q0", ["a.com", "b.com"]),
+                answer("Google", "q1", ["a.com"]),
+            ],
+            "A": [
+                answer("A", "q0", ["a.com", "c.com"]),
+                answer("A", "q1", ["d.com", "e.com", "f.com"]),
+            ],
+            "B": [answer("B", "q0", ["b.com"]), answer("B", "q1", [])],
+        }
+        domain_overlap(answers)
+        citations = sum(
+            len(a.citations) for per_system in answers.values() for a in per_system
+        )
+        assert len(calls) == citations == 9

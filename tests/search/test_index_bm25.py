@@ -43,41 +43,62 @@ class TestInvertedIndex:
         assert index.average_doc_length > 0
 
     def test_postings(self, index):
-        docs = {p.doc_id for p in index.postings("smartphone")}
-        assert docs == {0, 2}
+        doc_ids, __ = index.postings_arrays("smartphone")
+        assert set(doc_ids) == {0, 2}
         assert index.document_frequency("smartphone") == 2
 
     def test_unknown_term(self, index):
-        assert index.postings("zzz") == ()
+        assert index.postings_arrays("zzz") == ((), ())
         assert index.document_frequency("zzz") == 0
 
     def test_postings_view_is_immutable_and_shared(self, index):
-        view = index.postings("smartphone")
-        assert isinstance(view, tuple)
-        assert index.postings("smartphone") is view
-
-    def test_postings_arrays_parallel_to_postings(self, index):
         doc_ids, tfs = index.postings_arrays("smartphone")
-        assert doc_ids == tuple(p.doc_id for p in index.postings("smartphone"))
-        assert tfs == tuple(p.term_frequency for p in index.postings("smartphone"))
-        assert index.postings_arrays("zzz") == ((), ())
+        assert isinstance(doc_ids, tuple) and isinstance(tfs, tuple)
+        again = index.postings_arrays("smartphone")
+        assert again[0] is doc_ids and again[1] is tfs
+
+    def test_postings_arrays_are_parallel(self, index):
+        doc_ids, tfs = index.postings_arrays("smartphone")
+        # Three title occurrences (the boost) plus one in the body each.
+        assert dict(zip(doc_ids, tfs)) == {0: 4, 2: 4}
+        assert len(doc_ids) == len(tfs)
 
     def test_epoch_bumps_and_views_refresh(self, index):
         before = index.epoch
-        old_view = index.postings("smartphone")
+        old_ids, old_tfs = index.postings_arrays("smartphone")
         index.add(make_page(3, "Smartphone deals", "A smartphone bargain roundup."))
         assert index.epoch == before + 1
-        new_view = index.postings("smartphone")
-        assert new_view is not old_view
-        assert {p.doc_id for p in new_view} == {0, 2, 3}
-        doc_ids, __ = index.postings_arrays("smartphone")
-        assert set(doc_ids) == {0, 2, 3}
+        new_ids, new_tfs = index.postings_arrays("smartphone")
+        assert new_ids is not old_ids
+        assert new_ids == (0, 2, 3)
+        assert new_tfs == old_tfs + (4,)
+        # The earlier snapshot's arrays are immutable, not updated in place.
+        assert old_ids == (0, 2)
+
+    def test_add_after_freeze_matches_fresh_build(self, index):
+        pages = [index.page(doc_id) for doc_id in range(3)]
+        shipped = InvertedIndex.from_frozen_parts(
+            pages, *index.freeze().frozen_parts()
+        )
+        extra = make_page(3, "Smartphone deals", "A smartphone bargain roundup.")
+        fresh = InvertedIndex()
+        fresh.add_all(pages + [extra])
+        fresh.freeze()
+        for grown in (index, shipped):
+            grown.add(extra)
+            grown.freeze()
+            assert list(grown.postings_table()) == list(fresh.postings_table())
+            for term, arrays in fresh.postings_table().items():
+                assert grown.postings_arrays(term) == arrays
+            assert grown.doc_length_table() == fresh.doc_length_table()
+            assert grown.total_length == fresh.total_length
+            assert grown.epoch == fresh.epoch
+            assert grown.vocabulary_size() == fresh.vocabulary_size()
 
     def test_title_terms_boosted(self):
         idx = InvertedIndex(title_boost=3)
         idx.add(make_page(0, "unique", "other words here"))
-        posting = idx.postings("unique")[0]
-        assert posting.term_frequency == 3
+        assert idx.postings_arrays("unique") == ((0,), (3,))
 
     def test_duplicate_doc_id_raises(self, index):
         with pytest.raises(ValueError, match="already indexed"):

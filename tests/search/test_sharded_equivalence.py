@@ -418,9 +418,10 @@ class TestParallelBuildEquivalence:
                 (r.url, r.score) for r in single.search(query, 10)
             ] == [(r.url, r.score) for r in sharded.search(query, 10)]
 
-    def test_lazy_index_thaws_on_add(self, shard_world):
-        """A worker-built (lazy) shard accepts later adds: the postings
-        materialize and the epoch keeps counting."""
+    def test_shipped_index_takes_add(self, shard_world):
+        """A worker-built shard, reconstituted from shipped arrays,
+        accepts later adds: the new postings appear and the epoch keeps
+        counting."""
         __, __, __, corpus, __ = shard_world
         groups = partition_pages(corpus.pages[:40], 2)
         index, __ = build_shard_indexes(groups, builders=2, executor="thread")

@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test chaos sharded lint detlint conclint locklint cachelint lint-baseline conclint-baseline locklint-baseline cachelint-baseline lockwitness cachewitness bench bench-paper serve serve-smoke study study-digests calibrate stability examples clean
+.PHONY: install test chaos lint detlint conclint locklint cachelint lint-baseline conclint-baseline locklint-baseline cachelint-baseline lockwitness cachewitness bench bench-paper serve serve-smoke study study-digests calibrate stability examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -8,34 +8,23 @@ install:
 test:
 	pytest tests/
 
-# The fault-injection suite, sequentially and through the pool: output
+# Every fault site, each failing a selected key twice: below the retry
+# policy's max_attempts=3, so every fault recovers (CI's chaos job uses
+# the same plan).
+RECOVERABLE_PLAN = engine.answer:0.3:2:error,retrieval.select_sources:0.3:2:timeout,evidence.context:0.3:2:crash,runner.chunk:0.3:2:crash
+
+# The fault-injection suite, sequentially and through the pool, then the
+# seed-7 study and the serving gate under the recoverable plan: output
 # must be byte-identical when every injected fault is retry-recoverable.
 chaos:
 	REPRO_WORKERS=1 pytest tests/resilience/ -q
 	REPRO_WORKERS=4 pytest tests/resilience/ -q
-
-# CI's three `sharded` legs: the search/serve/engine suites, the
-# serving gate and the seed-7 study on the document-partitioned
-# substrate at 1 shard, at 4, and at 4 under a *recoverable*
-# search.shard fault plan.  Faults recover inside the retry ladder, so
-# on every leg the pinned serve digest must reproduce and the study
-# JSON must equal the single-index run's byte for byte.  (Unrecoverable
-# plans are exercised by the partial-merge and chaos-serve suites.)
-#
-# One leg: $(1) shards, $(2) workers, $(3) the chaos plan (seed 5) or
-# nothing.
-define sharded_leg
-	REPRO_SHARDS=$(1) REPRO_WORKERS=$(2) REPRO_CHAOS="$(3)" REPRO_CHAOS_SEED=5 pytest tests/search/ tests/serve/ tests/engines/ -q
-	REPRO_SHARDS=$(1) REPRO_CHAOS="$(3)" REPRO_CHAOS_SEED=5 python tools/serve_smoke.py
-	REPRO_SHARDS=$(1) REPRO_WORKERS=$(2) python -m repro run --seed 7 --json results/sharded/leg.json $(if $(3),--chaos "$(3)" --chaos-seed 5) > /dev/null
-	cmp results/sharded/single.json results/sharded/leg.json
-endef
-
-sharded:
-	REPRO_SHARDS=0 python -m repro run --seed 7 --json results/sharded/single.json > /dev/null
-	$(call sharded_leg,1,4,)
-	$(call sharded_leg,4,4,)
-	$(call sharded_leg,4,1,search.shard:0.3:2:error)
+	python -m repro run --seed 7 --json results/chaos/clean.json > /dev/null
+	REPRO_WORKERS=1 python -m repro run --seed 7 --json results/chaos/w1.json --chaos "$(RECOVERABLE_PLAN)" --chaos-seed 5 > /dev/null
+	cmp results/chaos/clean.json results/chaos/w1.json
+	REPRO_WORKERS=4 python -m repro run --seed 7 --json results/chaos/w4.json --chaos "$(RECOVERABLE_PLAN)" --chaos-seed 5 > /dev/null
+	cmp results/chaos/clean.json results/chaos/w4.json
+	REPRO_CHAOS="$(RECOVERABLE_PLAN)" REPRO_CHAOS_SEED=5 python tools/serve_smoke.py
 
 lint: detlint conclint locklint cachelint
 

@@ -10,17 +10,10 @@ timings into ``BENCH_search.json`` at the repo root (see
 live fast-vs-reference speedups against the ratios pinned there.
 """
 
-import pytest
-
 from repro.search.bm25 import BM25Scorer
 from repro.search.engine import SearchEngine
 from repro.search.index import InvertedIndex
 from repro.search.pagerank import pagerank
-from repro.search.sharding import (
-    ShardedSearchEngine,
-    build_shard_indexes,
-    partition_pages,
-)
 
 
 def test_bench_index_build(benchmark, world):
@@ -98,44 +91,3 @@ def test_bench_search_engine_construction(benchmark, world):
         lambda: SearchEngine(world.corpus, world.registry), rounds=2, iterations=1
     )
     assert engine.search("best hotels", k=5)
-
-
-@pytest.mark.parametrize("shards", (1, 2, 4, 8))
-def test_bench_sharded_build_1x(benchmark, world, shards):
-    """Shard-scaling curve at the session corpus (parallel 4 builders).
-
-    The ``conftest`` session hook collects these (and the 10x variants)
-    into the ``sharded_build.curves`` section of ``BENCH_search.json``.
-    """
-    pages = world.corpus.pages
-    groups = partition_pages(pages, shards)
-    indexes = benchmark.pedantic(
-        lambda: build_shard_indexes(groups, builders=4, executor="process"),
-        rounds=2,
-        iterations=1,
-    )
-    assert sum(index.doc_count for index in indexes) == len(pages)
-
-
-@pytest.mark.parametrize("shards", (1, 2, 4, 8))
-def test_bench_sharded_build_10x(benchmark, corpus_10x, shards):
-    """Shard-scaling curve at the 10x corpus (the acceptance workload)."""
-    pages = corpus_10x.pages
-    groups = partition_pages(pages, shards)
-    indexes = benchmark.pedantic(
-        lambda: build_shard_indexes(groups, builders=4, executor="process"),
-        rounds=1,
-        iterations=1,
-    )
-    assert sum(index.doc_count for index in indexes) == len(pages)
-
-
-def test_bench_sharded_organic_search(benchmark, world):
-    """Scatter-gather query path at 4 shards, cache-cold each round."""
-    engine = ShardedSearchEngine(world.corpus, world.registry, shards=4)
-
-    def run():
-        engine.clear_query_cache()
-        return engine.search("best laptops for students", 10)
-
-    assert benchmark(run)

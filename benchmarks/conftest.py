@@ -51,20 +51,6 @@ def world():
 
 
 @pytest.fixture(scope="session")
-def corpus_10x():
-    """A 10x-density corpus for the sharded-build scaling benches."""
-    from repro.entities import build_default_catalog
-    from repro.webgraph.corpus import CorpusConfig, CorpusGenerator
-    from repro.webgraph.domains import build_default_registry
-
-    registry = build_default_registry()
-    catalog = build_default_catalog()
-    return CorpusGenerator(
-        registry, catalog, CorpusConfig(seed=7, pages_per_volume_unit=20.0)
-    ).generate()
-
-
-@pytest.fixture(scope="session")
 def study(world):
     return ComparativeStudy(world)
 
@@ -72,10 +58,8 @@ def study(world):
 def pytest_sessionfinish(session, exitstatus):
     """Record search-substrate timings into ``BENCH_search.json``.
 
-    Substrate benches are rewritten into the ``last_run`` section; the
-    shard-scaling benches (``test_bench_sharded_build_*``) additionally
-    land in ``sharded_build.curves``, next to the ``gate`` quotient
-    ``tools/perf_smoke.py`` maintains.  The checked-in ``baseline``
+    Substrate benches are rewritten into the ``last_run`` section.
+    The checked-in ``baseline``
     (pre/post fast-path numbers) and ``smoke_ratios`` (consumed by
     ``tools/perf_smoke.py``) sections are preserved.
     """
@@ -83,7 +67,6 @@ def pytest_sessionfinish(session, exitstatus):
     if bench_session is None:
         return
     timings = {}
-    curves = {}
     for bench in bench_session.benchmarks:
         if "bench_search_substrate" not in bench.fullname or bench.has_error:
             continue
@@ -96,8 +79,6 @@ def pytest_sessionfinish(session, exitstatus):
             "rounds": stats.rounds,
         }
         timings[bench.name] = entry
-        if "sharded_build" in bench.name:
-            curves[bench.name] = entry
     if not timings:
         return
     payload = {}
@@ -110,8 +91,6 @@ def pytest_sessionfinish(session, exitstatus):
         "scale": os.environ.get("REPRO_BENCH_SCALE", "fast"),
         "benchmarks": timings,
     }
-    if curves:
-        payload.setdefault("sharded_build", {})["curves"] = curves
     BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

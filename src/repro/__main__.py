@@ -27,6 +27,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import sys
 import time
@@ -59,10 +60,10 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _non_negative_int(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be at least 0")
+def _positive_finite_float(raw: str) -> float:
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a finite number above 0")
     return value
 
 
@@ -97,17 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pool kind for --workers > 1 (default: process)",
     )
     study_options.add_argument(
-        "--shards",
-        type=_non_negative_int,
-        default=None,
-        metavar="N",
-        help="document-partition search across N shards "
-        "(default: $REPRO_SHARDS or 0 = single index; results are "
-        "identical for any value)",
-    )
-    study_options.add_argument(
         "--corpus-scale",
-        type=float,
+        type=_positive_finite_float,
         default=None,
         metavar="X",
         help="corpus size multiplier, e.g. 10 or 100 for the scale-out "
@@ -121,8 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SITE[@MATCH]:RATE[:FAILURES[:KIND]]",
         help="inject deterministic faults at a site (repeatable), e.g. "
         "'engine.answer:0.2:2:error' or 'engine.answer@Gemini:1.0:inf'; "
-        "an all-digit match targets one shard id at search.shard "
-        "('search.shard@3:1.0:inf:crash' kills every scatter to shard 3); "
         "implies the resilience layer even with an empty plan",
     )
     chaos_options.add_argument(
@@ -268,8 +258,6 @@ def _config(args: argparse.Namespace) -> StudyConfig:
         kwargs["workers"] = args.workers
     if getattr(args, "executor", None) is not None:
         kwargs["executor"] = args.executor
-    if getattr(args, "shards", None) is not None:
-        kwargs["search_shards"] = args.shards
     if getattr(args, "corpus_scale", None) is not None:
         kwargs["corpus_scale"] = args.corpus_scale
     return StudyConfig(**kwargs)

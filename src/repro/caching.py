@@ -16,12 +16,6 @@ independent copies and the thread executor shares one safely through
 the lock; no module-level state is involved (CONC001/CONC004 clean by
 construction).
 
-The partial-result rule lives here too: given a
-:class:`~repro.resilience.coverage.ShardCoverageLog`,
-:meth:`BoundedCache.get_or_compute` hands back a value whose compute
-lost shard coverage on the calling thread without storing or counting
-it, so no memo ever replays a partial merge after the shard recovers.
-
 A leaf module: it imports only the witness helpers, so the engines, the
 runner and the search substrate can all build on it without an import
 cycle.
@@ -31,13 +25,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.cachewitness import witness_for
 from repro.lockorder import witness_lock
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.resilience.coverage import ShardCoverageLog
 
 __all__ = ["BoundedCache", "CacheCounters"]
 
@@ -166,33 +157,12 @@ class BoundedCache:
                 self._witness.verify(key, stored)
         return stored
 
-    def get_or_compute(
-        self,
-        key: Hashable,
-        compute: Callable[[], Any],
-        *,
-        coverage: ShardCoverageLog | None = None,
-    ) -> Any:
-        """Return the cached value for ``key``, computing it on first use.
-
-        With ``coverage``, a value whose compute recorded shard loss on
-        *this thread* (a scatter degraded to a partial merge) is
-        returned but neither stored nor counted: the next lookup
-        recomputes at whatever coverage the recovered shards provide,
-        hit/miss bookkeeping matches a clean run's, and the coverage
-        log already carries the provenance.  Losses on other threads
-        never block an insert.
-        """
+    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """Return the cached value for ``key``, computing it on first use."""
         value = self.get(key, _MISSING)
         if value is not _MISSING:
             return value
-        if coverage is None:
-            return self.put(key, compute())
-        mark = coverage.mark()
-        value = compute()
-        if coverage.recorded_since(mark):
-            return value
-        return self.put(key, value)
+        return self.put(key, compute())
 
     def counters(self) -> CacheCounters:
         """Current hit/miss/eviction counts and entry count."""

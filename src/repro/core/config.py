@@ -8,6 +8,7 @@ bit-identical.
 from __future__ import annotations
 
 import datetime as dt
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -20,7 +21,6 @@ __all__ = [
     "WorkloadSizes",
     "cache_witness_enabled",
     "default_chaos_plan",
-    "default_search_shards",
     "default_workers",
     "lock_witness_enabled",
 ]
@@ -40,33 +40,14 @@ def default_workers() -> int:
         return 1
 
 
-def default_search_shards() -> int:
-    """Search shard count from ``REPRO_SHARDS`` (defaults to 0 = unsharded).
-
-    ``0`` keeps the classic single-index :class:`repro.search.engine.
-    SearchEngine`; any positive value assembles worlds around the
-    document-partitioned :class:`repro.search.sharding.
-    ShardedSearchEngine` with that many shards.  Results are identical
-    either way (the sharded engine is float-exact equal to single-shard),
-    so like ``REPRO_WORKERS`` this is an env hook that flips a whole CI
-    leg onto the sharded path without touching call sites.  Malformed
-    values fall back to unsharded rather than failing a run.
-    """
-    raw = os.environ.get("REPRO_SHARDS", "")
-    try:
-        return max(0, int(raw)) if raw else 0
-    except ValueError:
-        return 0
-
-
 def default_chaos_plan() -> tuple[str, int]:
     """The ambient fault plan from ``REPRO_CHAOS``/``REPRO_CHAOS_SEED``.
 
     Returns ``(plan text, plan seed)``; an empty plan text means no
-    ambient chaos.  Tooling (the serve smoke gate, the sharded
-    equivalence fixtures) uses this to run whole suites under a
-    recoverable fault plan — whose outputs must stay byte-identical to
-    clean runs — without threading CLI flags through every entry point.
+    ambient chaos.  Tooling (the serve smoke gate) uses this to run
+    under a recoverable fault plan — whose outputs must stay
+    byte-identical to clean runs — without threading CLI flags through
+    every entry point.
     A malformed seed falls back to 0 rather than failing the run; the
     plan text itself is validated by :meth:`repro.resilience.FaultPlan.
     parse` at install time, where a typo should fail loudly.
@@ -155,28 +136,29 @@ class StudyConfig:
     workers: int = field(default_factory=default_workers, compare=False)
     #: "process" (fork-inherited world) or "thread".
     executor: str = field(default="process", compare=False)
-    #: Search shard count; 0 = the classic single-index engine, N >= 1
-    #: = the document-partitioned sharded engine.  Excluded from
-    #: equality/hash like ``workers``: the sharded engine is float-exact
-    #: equal to single-shard, so two configs differing only in shard
-    #: topology describe the same study.
-    search_shards: int = field(default_factory=default_search_shards, compare=False)
+    #: Retired: search always runs on one index.  Kept only so existing
+    #: ``search_shards=0`` call sites still construct; any other value
+    #: is rejected.
+    search_shards: int = field(default=0, compare=False)
     #: Retired: shards always score in-process.  Kept only so existing
     #: ``resident_shards=False`` call sites still construct; ``True``
     #: is rejected.
     resident_shards: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.corpus_scale <= 0:
-            raise ValueError("corpus_scale must be positive")
+        if not (math.isfinite(self.corpus_scale) and self.corpus_scale > 0):
+            raise ValueError("corpus_scale must be positive and finite")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, got {self.executor!r}"
             )
-        if self.search_shards < 0:
-            raise ValueError("search_shards must be non-negative")
+        if self.search_shards != 0:
+            raise ValueError(
+                "search_shards is no longer supported: search always runs "
+                "on one index"
+            )
         if self.resident_shards:
             raise ValueError(
                 "resident_shards is no longer supported: search shards "

@@ -256,13 +256,6 @@ def render_stats(study: "ComparativeStudy") -> str:
                 f"    quarantine registry: {quarantined} quarantined, "
                 f"{degraded} degraded"
             )
-        coverage = ctx.coverage.records()
-        if coverage:
-            lost = sum(len(record.missing) for record in coverage)
-            lines.append(
-                f"    shard coverage: {len(coverage)} partial scatter(s), "
-                f"{lost} shard loss(es)"
-            )
     if stats.journal_replays:
         lines.append(f"  journal: {stats.journal_replays} chunks replayed")
     return "\n".join(lines)

@@ -63,7 +63,6 @@ from repro.entities.queries import Query
 from repro.forkpool import EXECUTORS, fork_inherit, inherited
 from repro.llm.rng import derive_seed
 from repro.resilience.context import ResilienceContext, ResilienceEvents
-from repro.resilience.coverage import ShardCoverage
 from repro.resilience.faults import ResilienceExhausted
 from repro.resilience.journal import RunJournal, journal_key
 from repro.resilience.quarantine import QuarantineRecord
@@ -218,7 +217,6 @@ class ChunkOutcome:
     answers: list[Answer]
     events: dict[str, int] = field(default_factory=dict)
     quarantined: tuple[QuarantineRecord, ...] = ()
-    coverage: tuple[ShardCoverage, ...] = ()
 
 
 def _execute_chunk(
@@ -253,13 +251,11 @@ def _answer_chunk(
         return _execute_chunk(world, engine_name, queries, attempt)
     events_before = ctx.events.snapshot()
     quarantine_before = len(ctx.quarantine)
-    coverage_before = len(ctx.coverage)
     answers = _execute_chunk(world, engine_name, queries, attempt)
     return ChunkOutcome(
         answers=answers,
         events=ResilienceEvents.delta(events_before, ctx.events.snapshot()),
         quarantined=ctx.quarantine.records()[quarantine_before:],
-        coverage=ctx.coverage.records()[coverage_before:],
     )
 
 
@@ -484,7 +480,6 @@ class StudyRunner:
                 if ctx is not None:
                     ctx.events.merge(raw.events)
                     ctx.quarantine.extend(raw.quarantined)
-                    ctx.coverage.extend(raw.coverage)
                 return raw.answers, True
             return raw, True
 

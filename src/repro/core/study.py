@@ -193,12 +193,9 @@ class ComparativeStudy:
             if ctx is None:
                 return self._world.evidence_cache.get_or_compute(key, retrieve)
             # Behind the "evidence.context" fault site, keyed like the
-            # cache; a context that lost shard coverage is returned
-            # uncached.
+            # cache.
             return self._world.evidence_cache.get_or_compute(
-                key,
-                lambda: ctx.call("evidence.context", key, retrieve),
-                coverage=ctx.coverage,
+                key, lambda: ctx.call("evidence.context", key, retrieve)
             )
         except ResilienceExhausted as exc:
             # Graceful degradation: an exhausted evidence retrieval

@@ -23,7 +23,6 @@ from repro.llm.pretraining import PretrainedKnowledge
 from repro.llm.rng import derive_seed
 from repro.resilience.context import ResilienceContext
 from repro.search.engine import SearchEngine
-from repro.search.sharding import ShardedSearchEngine
 from repro.webgraph.corpus import Corpus, CorpusConfig, CorpusGenerator
 from repro.webgraph.domains import DomainRegistry, build_default_registry
 
@@ -92,18 +91,7 @@ class World:
         default corpus generation.
         """
         started = time.perf_counter()  # detlint: ignore[DET002] -- build-log timing, not part of results
-        if config.search_shards:
-            # Document-partitioned substrate: float-exact equal to the
-            # single-index engine, built in parallel when workers > 1.
-            search_engine: SearchEngine = ShardedSearchEngine(
-                corpus,
-                registry,
-                shards=config.search_shards,
-                builders=config.workers,
-                build_executor=config.executor,
-            )
-        else:
-            search_engine = SearchEngine(corpus, registry)
+        search_engine = SearchEngine(corpus, registry)
         retriever = Retriever(corpus, registry, search_engine)
         engines = build_engines(
             corpus, catalog, search_engine, retriever, study_seed=config.seed
@@ -143,9 +131,8 @@ class World:
     def install_resilience(self, context: ResilienceContext | None) -> None:
         """Attach a resilience context to every fault site in this world.
 
-        Wires the context through the engines (``"engine.answer"``), the
-        retriever (``"retrieval.select_sources"``) and the search engine
-        (``"search.shard"`` on a sharded substrate); the runner (chunk
+        Wires the context through the engines (``"engine.answer"``) and
+        the retriever (``"retrieval.select_sources"``); the runner (chunk
         containment) and the study's evidence retrieval
         (``"evidence.context"``) read it from ``world.resilience``.
         Passing ``None`` detaches everything, restoring the exact
@@ -157,7 +144,6 @@ class World:
         for engine in self.engines.values():
             engine.set_resilience(context)
         self.retriever.set_resilience(context)
-        self.search_engine.set_resilience(context)
 
     def clear_resilience(self) -> None:
         """Detach the resilience layer (convenience for tests)."""

@@ -32,9 +32,9 @@ __all__ = ["ConcRule", "all_conc_rules", "conc_rule_table", "register_conc"]
 
 #: The blessed module-global write: the one fork handshake
 #: (:func:`repro.forkpool.fork_inherit`) that ships large read-only
-#: state to workers by inheritance — the study runner's world, the
-#: shard builder's page groups.  It is set and reset strictly
-#: parent-side, around pool creation, and read-only inside workers.
+#: state to workers by inheritance — the study runner's world.  It is
+#: set and reset strictly parent-side, around pool creation, and
+#: read-only inside workers.
 ALLOWED_GLOBAL_WRITES = frozenset({"repro.forkpool._INHERITED"})
 
 #: Method calls that mutate their receiver in place.

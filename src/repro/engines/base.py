@@ -132,8 +132,7 @@ class AnswerEngine(abc.ABC):
         """Answer ``query`` (memoized).
 
         With a resilience context the compute runs behind the
-        ``"engine.answer"`` site, and an answer whose retrieval lost
-        shard coverage is served but not memoized.
+        ``"engine.answer"`` site.
         """
         key = (query.cache_key, self._cache_epoch())
         ctx = self._resilience
@@ -149,7 +148,6 @@ class AnswerEngine(abc.ABC):
                 lambda: self._answer_uncached(query),
                 engine=self.name,
             ),
-            coverage=ctx.coverage,
         )
 
     def cache_stats(self) -> tuple[int, int]:

@@ -219,9 +219,7 @@ class Retriever:
         self._registry = registry
         # The engines score candidates through Google's BM25 seam
         # (SearchEngine.score_terms) but with pure BM25 — persona logic
-        # replaces SEO.  On a sharded world the pools thus go through
-        # the same scatter, fault site and coverage record as organic
-        # search.
+        # replaces SEO.
         self._index = search_engine.index
         self._search_engine = search_engine
         #: Optional ResilienceContext guarding select_sources (the

@@ -1,10 +1,9 @@
 """The fork handshake: hand one read-only value to pool workers.
 
-The study runner ships its world to process workers and the shard
-builder ships page groups.  Pickling either per task would push a
-corpus through a pipe; ``fork`` instead snapshots the parent's memory
-copy-on-write, so the value only has to sit in a module global while
-the pool forks.  :func:`fork_inherit` is that handshake, once:
+The study runner ships its world to process workers.  Pickling it per
+task would push a corpus through a pipe; ``fork`` instead snapshots the
+parent's memory copy-on-write, so the value only has to sit in a module
+global while the pool forks.  :func:`fork_inherit` is that handshake, once:
 
 * it picks the pool: a ``fork`` :class:`ProcessPoolExecutor` for
   ``executor="process"`` where ``fork`` exists, else a

@@ -55,7 +55,6 @@ CANONICAL_HIERARCHY = (
     "ResilienceEvents._lock",
     "RunJournal._lock",
     "ServeStats._lock",
-    "ShardCoverageLog._lock",
     "SimClock._lock",
     "SingleFlight._lock",
 )

@@ -19,10 +19,6 @@ repo's determinism contract:
   recoverable fault plans cannot trip it).
 * :mod:`repro.resilience.quarantine` — the per-query quarantine
   registry with per-cell provenance for report annotations.
-* :mod:`repro.resilience.coverage` — the shard-coverage registry: when
-  a ``search.shard`` scatter is exhausted the merge degrades to the
-  surviving shards and a :class:`ShardCoverage` record preserves which
-  shards went missing, per query, for the same report annotations.
 * :mod:`repro.resilience.context` — :class:`ResilienceContext`, the
   world-level bundle the fault sites consult, and its retrying
   :meth:`~ResilienceContext.call` primitive.
@@ -43,7 +39,6 @@ from repro.resilience.context import (
     ResilienceContext,
     ResilienceEvents,
 )
-from repro.resilience.coverage import ShardCoverage, ShardCoverageLog
 from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
@@ -69,7 +64,5 @@ __all__ = [
     "ResilienceExhausted",
     "RetryPolicy",
     "RunJournal",
-    "ShardCoverage",
-    "ShardCoverageLog",
     "SimClock",
 ]

@@ -19,7 +19,6 @@ from typing import Any
 
 from repro.lockorder import witness_lock
 from repro.resilience.clock import SimClock
-from repro.resilience.coverage import ShardCoverageLog
 from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
@@ -100,7 +99,6 @@ class ResilienceContext:
         self.injector = FaultInjector(self.config.plan)
         self.clock = SimClock()
         self.quarantine = Quarantine()
-        self.coverage = ShardCoverageLog()
         self.events = ResilienceEvents()
         self._breakers: dict[str, CircuitBreaker] = {}
         self._lock = witness_lock("ResilienceContext._lock")

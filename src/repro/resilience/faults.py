@@ -32,7 +32,6 @@ FAULT_SITES = {
     "retrieval.select_sources": "query text — one evidence retrieval",
     "evidence.context": "evidence-cache key — one Section 3.1 context",
     "runner.chunk": "(engine, first query id, size) — one pool chunk",
-    "search.shard": "(shard id, query text) — one shard scatter",
 }
 
 
@@ -94,13 +93,8 @@ class FaultSpec:
     substring — e.g. ``match="Gemini"`` at ``engine.answer`` (whose keys
     are ``(engine name, query id)``) faults exactly one engine, which is
     how the serving tier's breaker-isolation tests take one engine down
-    without touching the rest of the fleet.  One refinement: an all-digit
-    ``match`` against a key whose first element is an ``int`` — the
-    ``search.shard`` shape, ``(shard id, query text)`` — compares the
-    integers instead, so ``search.shard@3`` takes down exactly shard 3
-    rather than every query whose text happens to contain a ``3``.
-    Matching is part of the key's identity, so it is as deterministic as
-    the selection roll.
+    without touching the rest of the fleet.  Matching is part of the
+    key's identity, so it is as deterministic as the selection roll.
     """
 
     site: str
@@ -144,9 +138,7 @@ class FaultPlan:
         e.g. ``engine.answer:0.2:1,retrieval.select_sources:0.1:inf``.
         ``site@match`` narrows the spec to keys containing the
         substring: ``engine.answer@Gemini:1.0:inf`` takes down exactly
-        one engine.  An all-digit match targets a shard id at
-        ``search.shard``: ``search.shard@3:1.0:inf:crash`` kills every
-        scatter to shard 3 and no other shard, whatever the query text.
+        one engine.
         """
         specs = []
         for part in filter(None, (p.strip() for p in text.split(","))):
@@ -171,26 +163,6 @@ class FaultPlan:
         return cls(seed=seed, specs=tuple(specs))
 
 
-def _matches(match: str, key: object) -> bool:
-    """Whether a spec's ``match`` selects ``key``.
-
-    All-digit matches against keys led by an ``int`` compare the
-    integers — ``"3"`` selects ``(3, "best laptop 2024")`` because its
-    shard id is 3, not because the query text contains a ``3``.  Every
-    other shape keeps the substring rule over ``str(key)`` (site keys
-    like ``("Gemini", "q3")`` stringify their leading element, so the
-    engine-name idiom is untouched).
-    """
-    if (
-        match.isdigit()
-        and isinstance(key, tuple)
-        and key
-        and isinstance(key[0], int)
-    ):
-        return key[0] == int(match)
-    return match in str(key)
-
-
 class FaultInjector:
     """Executes a :class:`FaultPlan` at the pipeline's named sites.
 
@@ -212,7 +184,7 @@ class FaultInjector:
     def would_fault(self, site: str, key: object, attempt: int) -> FaultSpec | None:
         """The spec that fires for this call, or ``None``."""
         for spec in self._by_site.get(site, ()):
-            if spec.match is not None and not _matches(spec.match, key):
+            if spec.match is not None and spec.match not in str(key):
                 continue
             if spec.rate < 1.0:
                 roll = derive_rng("fault", self._plan.seed, site, key).random()

@@ -13,30 +13,18 @@ from repro.search.engine import SearchEngine, SearchResult, Snippet
 from repro.search.index import InvertedIndex
 from repro.search.pagerank import pagerank
 from repro.search.seo import SeoWeights
-from repro.search.sharding import (
-    GlobalStats,
-    LocalStats,
-    ShardedIndex,
-    ShardedSearchEngine,
-    shard_of,
-)
 from repro.search.snippets import SnippetCache, extract_snippet
 from repro.search.tokenize import tokenize
 
 __all__ = [
     "BM25Scorer",
-    "GlobalStats",
     "InvertedIndex",
-    "LocalStats",
     "SearchEngine",
     "SearchResult",
     "SeoWeights",
-    "ShardedIndex",
-    "ShardedSearchEngine",
     "Snippet",
     "SnippetCache",
     "extract_snippet",
     "pagerank",
-    "shard_of",
     "tokenize",
 ]

@@ -27,52 +27,24 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from typing import Protocol
 
 from repro.search.index import InvertedIndex
 from repro.search.tokenize import tokenize
 
-__all__ = ["BM25Scorer", "CorpusStats"]
+__all__ = ["BM25Scorer"]
 
 #: One term's ``(doc_ids, gains)``: the index's postings order, one BM25
 #: gain per posting, stored as C doubles (exactly the Python floats).
 _Impacts = tuple[tuple[int, ...], Sequence[float]]
 
 
-class CorpusStats(Protocol):
-    """The corpus-level statistics BM25 reads: N, avgdl, and df.
-
-    An :class:`InvertedIndex` satisfies this directly (the single-index
-    default).  A sharded engine hands each shard's scorer the merged
-    :class:`repro.search.sharding.GlobalStats` instead, so every shard
-    scores with corpus-wide numbers — what makes per-shard scores
-    float-exact equal to single-index scores.  (Its routed
-    :class:`~repro.search.sharding.ShardedIndex` serves no postings and
-    has no scorer of its own.)
-    """
-
-    @property
-    def doc_count(self) -> int: ...
-
-    @property
-    def average_doc_length(self) -> float: ...
-
-    def document_frequency(self, term: str) -> int: ...
-
-
 class BM25Scorer:
     """BM25 with tunable ``k1`` (tf saturation) and ``b`` (length norm).
 
-    One scorer per index: a :class:`~repro.search.engine.SearchEngine`
-    owns the one over its single index, a sharded engine one per shard,
-    and every consumer scores through the engine's ``score_terms``.
-    ``stats`` defaults to the index itself; passing corpus-wide
-    statistics instead changes *which numbers* feed the formula, never
-    the operations or their order — so a shard scorer handed global
-    stats reproduces the single-index floats exactly.  External stats
-    are a frozen snapshot: if the index grows, build a fresh scorer
-    from re-exchanged stats (the sharded engine epoch-tags its scorers
-    for exactly this).
+    One scorer per index, reading N, avgdl and df from that index: a
+    :class:`~repro.search.engine.SearchEngine` owns the one over its
+    index, and every consumer scores through the engine's
+    ``score_terms``.
     """
 
     def __init__(
@@ -80,15 +52,12 @@ class BM25Scorer:
         index: InvertedIndex,
         k1: float = 1.4,
         b: float = 0.75,
-        *,
-        stats: CorpusStats | None = None,
     ) -> None:
         if k1 < 0:
             raise ValueError("k1 must be non-negative")
         if not 0.0 <= b <= 1.0:
             raise ValueError("b must be in [0, 1]")
         self._index = index
-        self._stats: CorpusStats = stats if stats is not None else index
         self._k1 = k1
         self._b = b
         #: ``(epoch, table)`` — term -> ``(doc_ids, gains)``, rebuilt
@@ -99,8 +68,8 @@ class BM25Scorer:
 
     def idf(self, term: str) -> float:
         """Non-negative inverse document frequency for an analyzed term."""
-        n = self._stats.doc_count
-        df = self._stats.document_frequency(term)
+        n = self._index.doc_count
+        df = self._index.document_frequency(term)
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
     def warm(self) -> "BM25Scorer":
@@ -112,7 +81,7 @@ class BM25Scorer:
         left out.  Called at world assembly so forked pool workers
         inherit the table instead of each rebuilding it on first query.
         """
-        if self._stats.average_doc_length != 0.0:
+        if self._index.average_doc_length != 0.0:
             self._impacts()
         return self
 
@@ -121,7 +90,7 @@ class BM25Scorer:
         cached = self._impact_table
         if cached is not None and cached[0] == epoch:
             return cached[1]
-        avg_len = self._stats.average_doc_length
+        avg_len = self._index.average_doc_length
         k1, b = self._k1, self._b
         k1_plus_1 = k1 + 1.0
         dense, lengths = self._index.doc_length_table()
@@ -150,7 +119,7 @@ class BM25Scorer:
 
     def score_terms(self, terms: Sequence[str]) -> dict[int, float]:
         """BM25 scores from pre-analyzed query terms (the fast path)."""
-        if self._stats.average_doc_length == 0.0:
+        if self._index.average_doc_length == 0.0:
             return {}
         impacts = self._impacts().get
         scores: dict[int, float] | None = None
@@ -181,7 +150,7 @@ class BM25Scorer:
         "optimize" it — its value is being the unchanged arithmetic.
         """
         scores: dict[int, float] = {}
-        avg_len = self._stats.average_doc_length
+        avg_len = self._index.average_doc_length
         if avg_len == 0.0:
             return scores
         for term in terms:

@@ -8,9 +8,7 @@ the evidence format the generative engines consume.
 
 :meth:`SearchEngine.score_terms` is the one BM25 seam: organic ranking
 and the generative engines' candidate pools (:class:`repro.engines.
-retrieval.Retriever`) both score through it, so the sharded engine,
-whose scatter is its override of that method, puts both behind the
-same fault site and coverage record.
+retrieval.Retriever`) both score through it.
 
 The query path is an *exact fast path*: term-at-a-time BM25 accumulation
 over the frozen index (:meth:`BM25Scorer.score_terms`), per-page static
@@ -31,7 +29,6 @@ from __future__ import annotations
 import heapq
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.caching import BoundedCache, CacheCounters
 from repro.search.bm25 import BM25Scorer
@@ -43,9 +40,6 @@ from repro.search.tokenize import tokenize
 from repro.webgraph.corpus import Corpus
 from repro.webgraph.domains import DomainRegistry
 from repro.webgraph.pages import Page
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.search.sharding import ShardedIndex
 
 __all__ = ["SearchEngine", "SearchResult", "Snippet"]
 
@@ -114,11 +108,9 @@ class SearchEngine:
         self._weights = weights
         self._max_per_domain = max_per_domain
 
-        # The substrate seam: the sharded engine overrides _build_index,
-        # _warm and score_terms; everything downstream — caches,
-        # statics, ranking — reads only the index's epoch, pages and
-        # length table and the scores score_terms returns.
-        self._index: InvertedIndex | ShardedIndex = self._build_index(corpus)
+        self._index = InvertedIndex()
+        self._index.add_all(corpus.pages)
+        self._scorer = BM25Scorer(self._index)
 
         raw_rank = pagerank(corpus.link_graph)
         max_rank = max(raw_rank.values()) if raw_rank else 1.0
@@ -148,21 +140,7 @@ class SearchEngine:
         #: Per-page sentence cache shared by ``search_with_snippets``
         #: and the generative engines' evidence builders.
         self.snippet_cache = SnippetCache()
-        #: The world's resilience bundle, when installed.  Its coverage
-        #: log keeps partial pages out of the query cache; the sharded
-        #: engine also runs its scatter behind the ``search.shard``
-        #: site.  ``None`` keeps every query on the direct path.
-        self._resilience = None
         self._warm()
-
-    def _build_index(self, corpus: Corpus) -> InvertedIndex:
-        """Build the single index and its scorer (the sharded engine
-        overrides this and :meth:`score_terms`, with one scorer per
-        shard and none over its routed view)."""
-        index = InvertedIndex()
-        index.add_all(corpus.pages)
-        self._scorer = BM25Scorer(index)
-        return index
 
     def _warm(self) -> None:
         """Precompute everything the query path reads, so forked pool
@@ -174,9 +152,8 @@ class SearchEngine:
             self._statics()
 
     @property
-    def index(self) -> InvertedIndex | ShardedIndex:
-        """The underlying index (read-only use); on the sharded engine
-        a routed :class:`~repro.search.sharding.ShardedIndex`."""
+    def index(self) -> InvertedIndex:
+        """The underlying index (read-only use)."""
         return self._index
 
     def domain_authority(self, domain: str) -> float:
@@ -196,8 +173,7 @@ class SearchEngine:
         Organic ranking (:meth:`_rank_fast`) and the generative
         engines' candidate pools both score through here.  Callers
         select by ``(-score, doc_id)``, ``max`` or ``nlargest`` over
-        the values, never by the dict's order, which differs on the
-        sharded engine.
+        the values, never by the dict's order.
         """
         return self._scorer.score_terms(terms)
 
@@ -253,8 +229,7 @@ class SearchEngine:
         max_per_domain`` headroom is exhausted before ``k`` results are
         found, the selection falls back to the fully sorted pool, which
         *is* the reference pipeline's order.  Nothing here reads the
-        score dict's order, so the sharded engine's union of per-shard
-        scores ranks through this same code.
+        score dict's order.
         """
         bm25 = self.score_terms(terms)
         if not bm25:
@@ -331,15 +306,10 @@ class SearchEngine:
         if k < 1:
             raise ValueError("k must be at least 1")
         terms = tuple(tokenize(query))
-        ctx = self._resilience
-        # A partial-coverage page (shards lost past the resilience
-        # ladder) is never memoized: the next identical query must
-        # re-scatter and regain full coverage once the shard recovers.
         return list(
             self._query_cache.get_or_compute(
                 (terms, k, self._index.epoch),
                 lambda: tuple(self._rank_fast(terms, k)),
-                coverage=None if ctx is None else ctx.coverage,
             )
         )
 
@@ -368,8 +338,6 @@ class SearchEngine:
 
         Property tests hold :meth:`search` to bit-identical output; do
         not "optimize" it — its value is being the unchanged original.
-        Single-index only: the sharded engine has no scorer over its
-        routed view.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
@@ -428,11 +396,6 @@ class SearchEngine:
 
     # ------------------------------------------------------------------
     # Administration
-
-    def set_resilience(self, context) -> None:
-        """Install (or with ``None`` detach) the world's resilience
-        bundle."""
-        self._resilience = context
 
     def query_cache_stats(self) -> CacheCounters:
         """Hit/miss/eviction counters of the query-result cache."""

@@ -16,15 +16,6 @@ the query fast path scans without per-call copies.  The lists stay
 behind after a freeze, so a later ``add`` simply appends to them and
 bumps :attr:`epoch`; the next read freezes afresh, and anything keyed on
 ``(..., epoch)`` can never serve stale results.
-
-For parallel shard builds (:mod:`repro.search.sharding`) the frozen
-arrays double as a wire format: a worker process builds an index, ships
-:meth:`frozen_parts` home (plain tuples and ints — no ``Page`` objects
-cross the pipe), and the parent reconstitutes it with
-:meth:`from_frozen_parts` against its own page objects.  The shipped
-tuples become the reconstituted index's frozen arrays as they are, and
-are copied into its build lists so that it takes a later :meth:`add`
-exactly like an index built in place.
 """
 
 from __future__ import annotations
@@ -97,58 +88,6 @@ class InvertedIndex:
         self._total_length = 0
         self._mutations = 0
         self._frozen: _FrozenPostings | None = None
-
-    @classmethod
-    def from_frozen_parts(
-        cls,
-        pages: Iterable[Page],
-        arrays: dict[str, tuple[tuple[int, ...], tuple[int, ...]]],
-        doc_lengths: Mapping[int, int],
-        total_length: int,
-        title_boost: int = 3,
-    ) -> "InvertedIndex":
-        """Reconstitute an index from :meth:`frozen_parts` plus pages.
-
-        The counterpart of a worker-side build: ``arrays``,
-        ``doc_lengths`` and ``total_length`` crossed the pipe as plain
-        tuples/ints, and ``pages`` are the *parent's* page objects for
-        the same documents — so every accessor returns the parent's
-        instances, exactly as if the parent had built the index itself.
-        The result is read-equivalent to ``add_all(pages)`` (same epoch,
-        same arrays, same statistics) and takes a later :meth:`add` the
-        same way.
-        """
-        index = cls(title_boost)
-        index._pages = {page.doc_id: page for page in pages}
-        if set(doc_lengths) != set(index._pages):
-            raise ValueError("doc_lengths and pages disagree on doc ids")
-        index._lists = {
-            term: (list(doc_ids), list(tfs))
-            for term, (doc_ids, tfs) in arrays.items()
-        }
-        index._doc_lengths = dict(doc_lengths)
-        index._total_length = total_length
-        index._mutations = len(index._pages)
-        dense, lengths = _length_table(index._pages, index._doc_lengths)
-        index._frozen = _FrozenPostings(
-            epoch=index._mutations, arrays=arrays, lengths=lengths, dense=dense
-        )
-        return index
-
-    def frozen_parts(
-        self,
-    ) -> tuple[
-        dict[str, tuple[tuple[int, ...], tuple[int, ...]]],
-        dict[int, int],
-        int,
-    ]:
-        """``(arrays, doc_lengths, total_length)`` — the picklable core.
-
-        Everything :meth:`from_frozen_parts` needs except the pages:
-        plain string/int containers, cheap to ship across a process
-        pipe relative to re-tokenizing the documents.
-        """
-        return self._snapshot().arrays, dict(self._doc_lengths), self._total_length
 
     def add(self, page: Page) -> None:
         """Index one page (appends to the build lists; bumps the epoch)."""
@@ -270,12 +209,7 @@ class InvertedIndex:
 
     @property
     def total_length(self) -> int:
-        """Sum of all document lengths (the avgdl numerator).
-
-        Kept as an int so sharded deployments can sum shard totals
-        without floating-point drift: the merged average equals the
-        single-index average *exactly*.
-        """
+        """Sum of all document lengths (the avgdl numerator)."""
         return self._total_length
 
     def vocabulary_size(self) -> int:

@@ -252,7 +252,6 @@ class ServeLoop:
         not a second ``miss``.
         """
         key = (request.engine, request.query.cache_key)
-        mark = ctx.coverage.mark() if ctx is not None else 0
 
         def lead():
             cached = engine.cached_answer(request.query)
@@ -296,13 +295,4 @@ class ServeLoop:
             return "degraded", _degraded_answer(request.engine, request.query)
         if led and memoized:
             return "hit", answer
-        if led and ctx is not None and ctx.coverage.recorded_since(mark):
-            # The leader's retrieval lost shard coverage past the
-            # ladder: the answer was served but never memoized, and the
-            # outcome says so.  Followers stay "coalesced" — they
-            # received the leader's answer either way, and the coverage
-            # provenance is the leader's to report.  (The thread-local
-            # mark only moves for the thread that ran the computation,
-            # which single-flight guarantees is the leader.)
-            return "partial", answer
         return ("miss" if led else "coalesced"), answer

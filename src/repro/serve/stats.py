@@ -27,10 +27,9 @@ from repro.lockorder import witness_lock
 __all__ = ["LatencySummary", "ServeSnapshot", "ServeStats", "percentile"]
 
 #: Request outcomes the loop classifies; order fixes rendering.
-#: ``partial`` is a served-but-degraded miss: the answer came back, but
-#: its retrieval lost shard coverage past the resilience ladder, so it
-#: was handed out uncached with :class:`~repro.resilience.coverage.
-#: ShardCoverage` provenance instead of entering the memo.
+#: ``partial`` is retired and always 0: the loop no longer produces it,
+#: but ``perfbench/workloads.py`` still reads ``outcomes["partial"]``,
+#: so the key stays until the next benchmark change drops that read.
 OUTCOMES = ("hit", "coalesced", "miss", "shed", "degraded", "partial")
 
 
@@ -92,14 +91,7 @@ class ServeSnapshot:
 
     @property
     def answered(self) -> int:
-        """Requests that produced a real full-coverage answer.
-
-        ``partial`` is excluded alongside ``shed``/``degraded``: a
-        partial answer was served, but from degraded shard coverage and
-        without entering the memo, so counting it here would make
-        ``duplicate_absorption`` depend on which requests happened to
-        hit a dead shard.
-        """
+        """Requests that produced a real answer (not shed or degraded)."""
         return (
             self.outcomes["hit"]
             + self.outcomes["coalesced"]

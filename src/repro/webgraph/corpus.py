@@ -19,6 +19,7 @@ deliberate and load-bearing:
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -65,8 +66,11 @@ class CorpusConfig:
     study_date: dt.date = DEFAULT_STUDY_DATE
 
     def __post_init__(self) -> None:
-        if self.pages_per_volume_unit <= 0:
-            raise ValueError("pages_per_volume_unit must be positive")
+        if not (
+            math.isfinite(self.pages_per_volume_unit)
+            and self.pages_per_volume_unit > 0
+        ):
+            raise ValueError("pages_per_volume_unit must be positive and finite")
         if not 0 < self.general_interest_factor <= 1:
             raise ValueError("general_interest_factor must be in (0, 1]")
         if self.brand_pages_per_entity < 1:

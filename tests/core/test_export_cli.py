@@ -88,13 +88,20 @@ class TestCli:
         assert cli_main(["calibration"]) == 0
         assert "EXPOSURE_ALPHA" in capsys.readouterr().out
 
-    def test_shards_zero_selects_the_single_index(self, monkeypatch):
+    def test_shards_option_is_gone(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARDS", "4")
         parser = _build_parser()
-        args = parser.parse_args(["run", "fig1", "--shards", "0"])
-        assert _config(args).search_shards == 0
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "fig1", "--shards", "-1"])
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["run", "fig1", "--shards", "4"])
+        assert exc.value.code == 2
+        # The environment no longer selects a substrate either.
+        assert _config(parser.parse_args(["run", "fig1"])).search_shards == 0
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_corpus_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["world", "--corpus-scale", scale])
+        assert exc.value.code == 2
 
     def test_unknown_experiment_is_an_error(self, capsys):
         assert cli_main(["run", "fig9"]) == 2

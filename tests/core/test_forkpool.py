@@ -1,33 +1,25 @@
-"""The one fork handshake, checked through both of its callers.
+"""The one fork handshake, checked through its caller.
 
-``repro.forkpool.fork_inherit`` ships the study runner's world and the
-shard builder's page groups to forked workers: it publishes the value
-for a fork pool only and retracts it in ``finally``.  A leak would pin
-the corpus in a module global for the process lifetime and hand every
-*later* fork a stale snapshot.  Every case runs against both callers,
-and whatever breaks (pool creation, task submission, a worker), the
-inherited global must come back ``None``.
+``repro.forkpool.fork_inherit`` ships the study runner's world to forked
+workers: it publishes the value for a fork pool only and retracts it in
+``finally``.  A leak would pin the corpus in a module global for the
+process lifetime and hand every *later* fork a stale snapshot.  Whatever
+breaks (pool creation, task submission, a worker), the inherited global
+must come back ``None``.
 """
 
 import pytest
 
 from repro import forkpool
 from repro.core import runner as runner_module
+from repro.core.report import render_stats
 from repro.core.runner import StudyRunner
+from repro.core.study import ComparativeStudy
 from repro.entities.queries import ranking_queries
-from repro.search import sharding
-from repro.search.sharding import build_shard_indexes, partition_pages
-
-from tests.search.test_sharded_equivalence import _sparse_page
 
 
 def _explode_chunk(engine_name, queries, attempt=1):
     """Module-level (picklable) stand-in for a crashing study worker."""
-    raise RuntimeError("worker exploded")
-
-
-def _explode_build(shard_id, title_boost):
-    """Module-level (picklable) stand-in for a crashing shard builder."""
     raise RuntimeError("worker exploded")
 
 
@@ -53,37 +45,9 @@ class _RunnerCaller:
         return StudyRunner(self.world, workers=1).answers(self.queries)
 
 
-class _BuilderCaller:
-    """``build_shard_indexes``: ships the page groups."""
-
-    def __init__(self):
-        pages = [
-            _sparse_page(i, f"Guide {i}", f"Useful advice number {i}.")
-            for i in range(8)
-        ]
-        self.groups = partition_pages(pages, 2)
-
-    def shipped(self):
-        return tuple(tuple(pages) for pages in self.groups)
-
-    def break_worker(self, monkeypatch):
-        monkeypatch.setattr(sharding, "_build_parts_inherited", _explode_build)
-
-    def run(self, executor="process"):
-        indexes = build_shard_indexes(
-            self.groups, builders=2, executor=executor
-        )
-        return [index.frozen_parts() for index in indexes]
-
-    def sequential(self):
-        return [index.frozen_parts() for index in build_shard_indexes(self.groups)]
-
-
-@pytest.fixture(params=["runner", "builder"])
-def caller(request):
-    if request.param == "runner":
-        return _RunnerCaller(request.getfixturevalue("tiny_world"))
-    return _BuilderCaller()
+@pytest.fixture(params=["runner"])
+def caller(request, tiny_world):
+    return _RunnerCaller(tiny_world)
 
 
 @pytest.fixture
@@ -156,13 +120,9 @@ class TestForkInherit:
         assert result == caller.sequential()
         assert pools == [("thread", None)]
         assert forkpool._INHERITED is None
-        if isinstance(caller, _RunnerCaller):
-            from repro.core.report import render_stats
-            from repro.core.study import ComparativeStudy
-
-            assert caller.runner.stats.effective_executor == "thread"
-            study = ComparativeStudy(caller.world, runner=caller.runner)
-            assert "(effective: thread)" in render_stats(study)
+        assert caller.runner.stats.effective_executor == "thread"
+        study = ComparativeStudy(caller.world, runner=caller.runner)
+        assert "(effective: thread)" in render_stats(study)
 
 
 def test_inherited_outside_a_fork_pool_raises():

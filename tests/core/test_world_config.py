@@ -18,11 +18,15 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             WorkloadSizes(ranking_queries=0)
-        with pytest.raises(ValueError):
-            StudyConfig(corpus_scale=0)
+        for scale in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="corpus_scale"):
+                StudyConfig(corpus_scale=scale)
         with pytest.raises(ValueError, match="always run in-process"):
-            StudyConfig(search_shards=4, resident_shards=True)
+            StudyConfig(resident_shards=True)
         assert StudyConfig(resident_shards=False).resident_shards is False
+        with pytest.raises(ValueError, match="one index"):
+            StudyConfig(search_shards=4)
+        assert StudyConfig(search_shards=0).search_shards == 0
 
 
 class TestWorld:

@@ -387,7 +387,7 @@ class TestCandidatePool:
     """``candidates`` picks exactly the full sort's top ``candidate_pool``."""
 
     def test_real_queries_match_full_sort(self, world):
-        # A single index of its own: the world's may be a sharded view.
+        # An independent scorer over a fresh index is the oracle's input.
         index = InvertedIndex()
         index.add_all(world.corpus.pages)
         scorer = BM25Scorer(index)

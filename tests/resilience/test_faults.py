@@ -49,35 +49,16 @@ class TestFaultPlan:
             FaultPlan.parse("engine.answer")  # missing rate
         with pytest.raises(ValueError):
             FaultPlan.parse("bogus.site:0.5")
-
-    def test_parse_shard_id_match(self):
-        plan = FaultPlan.parse("search.shard@3:1.0:inf:crash")
-        (spec,) = plan.specs
-        assert spec.site == "search.shard"
-        assert spec.match == "3"
-        assert spec.failures is None
-        assert spec.kind == "crash"
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultPlan.parse("search.shard:1.0")
 
     def test_parse_rejects_empty_match(self):
         with pytest.raises(ValueError, match="empty @match"):
-            FaultPlan.parse("search.shard@:1.0")
+            FaultPlan.parse("engine.answer@:1.0")
 
 
 class TestMatchNarrowing:
-    """``match`` selection: substring for engines, integer for shards."""
-
-    def test_all_digit_match_compares_shard_ids(self):
-        injector = FaultInjector(FaultPlan.parse("search.shard@3:1.0:inf"))
-        # The shard.search key shape is (shard id, query text).
-        assert injector.would_fault("search.shard", (3, "best laptop"), 1)
-        assert injector.would_fault("search.shard", (3, "q"), 50)
-        # Integer comparison, not substring: shard 13 is not shard 3...
-        assert injector.would_fault("search.shard", (13, "q"), 1) is None
-        # ...and a query text containing "3" never selects the spec.
-        assert (
-            injector.would_fault("search.shard", (1, "top 3 laptops"), 1)
-            is None
-        )
+    """``match`` selection: a substring test over ``str(key)``."""
 
     def test_engine_name_match_stays_substring(self):
         injector = FaultInjector(
@@ -90,8 +71,7 @@ class TestMatchNarrowing:
         )
 
     def test_all_digit_match_on_string_keys_falls_back_to_substring(self):
-        # Keys not led by an int (every other site) keep the substring
-        # rule even for digit matches.
+        # A digit match is a substring test like any other.
         injector = FaultInjector(
             FaultPlan.parse("retrieval.select_sources@7:1.0:inf")
         )
@@ -107,12 +87,12 @@ class TestMatchNarrowing:
 
     def test_match_composes_with_rate_and_failures(self):
         injector = FaultInjector(
-            FaultPlan.parse("search.shard@2:1.0:2"),
+            FaultPlan.parse("engine.answer@Gemini:1.0:2"),
         )
-        assert injector.would_fault("search.shard", (2, "q"), 1)
-        assert injector.would_fault("search.shard", (2, "q"), 2)
-        assert injector.would_fault("search.shard", (2, "q"), 3) is None
-        assert injector.would_fault("search.shard", (0, "q"), 1) is None
+        assert injector.would_fault("engine.answer", ("Gemini", "q"), 1)
+        assert injector.would_fault("engine.answer", ("Gemini", "q"), 2)
+        assert injector.would_fault("engine.answer", ("Gemini", "q"), 3) is None
+        assert injector.would_fault("engine.answer", ("GPT-4o", "q"), 1) is None
 
 
 class TestInjectionDeterminism:

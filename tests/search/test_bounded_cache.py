@@ -1,5 +1,5 @@
-"""The memo primitive's contract: ``None`` values, failures, the
-partial-result hook and the uncounted peek.
+"""The memo primitive's contract: ``None`` values, failures and the
+uncounted peek.
 
 ``BoundedCache.get`` used to compare the stored value against ``None``
 to decide hit vs miss, so a compute that legitimately returned ``None``
@@ -10,23 +10,14 @@ work of a miss.  Presence (via a private sentinel) now decides.  The
 subclass :class:`repro.core.runner.EvidenceCache`.
 """
 
-import threading
-
 import pytest
 
 from repro.caching import BoundedCache
 from repro.core.runner import EvidenceCache
-from repro.resilience.coverage import ShardCoverage, ShardCoverageLog
 
 
 def _boom():
     raise RuntimeError("retrieval failed")
-
-
-def _loss() -> ShardCoverage:
-    return ShardCoverage(
-        phase="test", query="q", total_shards=2, missing=(1,), reasons=("down",)
-    )
 
 
 class TestBoundedCacheNoneValues:
@@ -103,61 +94,6 @@ class TestEvidenceCacheNoneValues(TestBoundedCacheNoneValues):
     """The same cases over the evidence memo, a ``BoundedCache``."""
 
     cache_class = EvidenceCache
-
-
-class TestCoverageHook:
-    """``get_or_compute(coverage=...)``: the one partial-result rule."""
-
-    def test_loss_on_this_thread_is_returned_but_not_memoized(self):
-        cache = BoundedCache(limit=8)
-        log = ShardCoverageLog()
-
-        def partial():
-            log.record(_loss())
-            return "partial page"
-
-        assert cache.get_or_compute("k", partial, coverage=log) == "partial page"
-        assert "k" not in cache
-        counters = cache.counters()
-        assert (counters.hits, counters.misses, counters.size) == (0, 0, 0)
-        # The next lookup recomputes, and a full-coverage value memoizes.
-        assert cache.get_or_compute("k", lambda: "full", coverage=log) == "full"
-        assert cache.get("k") == "full"
-        assert cache.counters().misses == 1
-
-    def test_loss_on_another_thread_does_not_block_the_insert(self):
-        cache = BoundedCache(limit=8)
-        log = ShardCoverageLog()
-
-        def compute():
-            other = threading.Thread(target=log.record, args=(_loss(),))
-            other.start()
-            other.join(timeout=10)
-            assert not other.is_alive()
-            return "full page"
-
-        assert cache.get_or_compute("k", compute, coverage=log) == "full page"
-        assert len(log) == 1
-        assert "k" in cache
-        assert cache.counters().misses == 1
-
-    def test_loss_before_the_lookup_does_not_block_the_insert(self):
-        cache = BoundedCache(limit=8)
-        log = ShardCoverageLog()
-        log.record(_loss())
-        cache.get_or_compute("k", lambda: "full page", coverage=log)
-        assert "k" in cache
-
-    def test_raising_compute_stores_nothing_with_the_hook(self):
-        cache = BoundedCache(limit=8)
-        log = ShardCoverageLog()
-        with pytest.raises(RuntimeError):
-            cache.get_or_compute("k", _boom, coverage=log)
-        assert "k" not in cache
-        counters = cache.counters()
-        assert (counters.hits, counters.misses) == (0, 0)
-        assert cache.get_or_compute("k", lambda: 7, coverage=log) == 7
-        assert cache.counters().misses == 1
 
 
 class TestPeek:

@@ -147,8 +147,9 @@ class TestCorpusGeneration:
             corpus.by_url("https://nope.example/x")
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CorpusConfig(pages_per_volume_unit=0)
+        for unit in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="pages_per_volume_unit"):
+                CorpusConfig(pages_per_volume_unit=unit)
         with pytest.raises(ValueError):
             CorpusConfig(general_interest_factor=0)
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test chaos lint detlint conclint locklint cachelint lint-baseline conclint-baseline locklint-baseline cachelint-baseline lockwitness cachewitness bench bench-paper serve serve-smoke study study-digests calibrate stability examples clean
+.PHONY: install test chaos lint lint-baseline lockwitness cachewitness bench bench-paper serve serve-smoke study study-digests calibrate stability examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -26,31 +26,13 @@ chaos:
 	cmp results/chaos/clean.json results/chaos/w4.json
 	REPRO_CHAOS="$(RECOVERABLE_PLAN)" REPRO_CHAOS_SEED=5 python tools/serve_smoke.py
 
-lint: detlint conclint locklint cachelint
-
-detlint:
+# All four rule families (determinism, concurrency, locks, caches) over
+# one parse of src/repro, against .lint-baseline.json.
+lint:
 	python -m repro lint
-
-conclint:
-	python -m repro conclint
-
-locklint:
-	python -m repro locklint
-
-cachelint:
-	python -m repro cachelint
 
 lint-baseline:
 	python -m repro lint --update-baseline
-
-conclint-baseline:
-	python -m repro conclint --update-baseline
-
-locklint-baseline:
-	python -m repro locklint --update-baseline
-
-cachelint-baseline:
-	python -m repro cachelint --update-baseline
 
 # The serving/resilience suites with the runtime lock-order witness
 # armed: every witnessed acquisition is checked against the canonical

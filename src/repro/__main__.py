@@ -16,12 +16,10 @@ Subcommands:
 * ``serve`` — run the answer-serving loop over a warm world under a
   deterministic zipfian load (see :mod:`repro.serve`); ``--bench-json``
   records latency percentiles and throughput (``BENCH_serving.json``).
-* ``lint`` — run detlint, the determinism & reproducibility linter,
-  over the library source (see :mod:`repro.devtools.detlint`).
-* ``conclint`` — run the interprocedural concurrency-safety analyzer
-  over the library source (see :mod:`repro.devtools.conclint`).
-* ``locklint`` — run the lock-discipline & blocking-hazard analyzer
-  over the library source (see :mod:`repro.devtools.locklint`).
+* ``lint`` — run the static analyzers over the library source: the
+  determinism, concurrency-safety, lock-discipline and cache-coherence
+  rule families, over one parse of the tree (see
+  :mod:`repro.devtools.lint`).
 """
 
 from __future__ import annotations
@@ -245,9 +243,57 @@ def _build_parser() -> argparse.ArgumentParser:
         "--full", action="store_true", help="print full answer texts, not just citations"
     )
 
-    from repro.devtools.common.cli import register_tool_parsers
-
-    register_tool_parsers(sub)
+    lint = sub.add_parser(
+        "lint",
+        help="run the static analyzers (determinism, concurrency, locks, "
+        "caches) over the library source",
+    )
+    lint.add_argument(
+        "paths",
+        nargs="*",
+        metavar="PATH",
+        help="files or directories to analyze (default: src/repro)",
+    )
+    lint.add_argument(
+        "--format",
+        choices=("text", "json"),
+        default="text",
+        help="report format (default: text)",
+    )
+    lint.add_argument(
+        "--baseline",
+        default=".lint-baseline.json",
+        metavar="FILE",
+        help="baseline file of grandfathered findings "
+        "(default: .lint-baseline.json)",
+    )
+    lint.add_argument(
+        "--no-baseline",
+        action="store_true",
+        help="ignore the baseline file (every finding blocks)",
+    )
+    lint.add_argument(
+        "--update-baseline",
+        action="store_true",
+        help="rewrite the baseline from the current findings and exit 0",
+    )
+    lint.add_argument(
+        "--verbose",
+        action="store_true",
+        help="also show pragma-waived findings in the text report",
+    )
+    lint.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print every family's rule table and exit",
+    )
+    lint.add_argument(
+        "--dump",
+        choices=("callgraph", "lockgraph", "cachegraph"),
+        default=None,
+        help="emit the graph a rule family ran against as deterministic "
+        "JSON and exit 0",
+    )
     return parser
 
 
@@ -486,11 +532,10 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_serve(args)
     if args.command == "ask":
         return _cmd_ask(args)
-    from repro.devtools.common.cli import run_tool_command
+    if args.command == "lint":
+        from repro.devtools.lint import main as lint_main
 
-    tool_exit = run_tool_command(args.command, args)
-    if tool_exit is not None:
-        return tool_exit
+        return lint_main(args)
     return _cmd_run(args)
 
 

@@ -6,11 +6,10 @@ caches — the engine answer memos, the query-result cache, the evidence
 cache, the snippet cache — all memoize values derived from the inverted
 index, and the index mutates (``add()`` bumps its ``epoch``).  A cache
 whose key omits that epoch, or that world-level invalidation forgets,
-serves stale answers silently.  cachelint reuses conclint's
-project-wide symbol table, discovers every **cache site** (a
-``*Cache``-typed attribute, a dict-as-cache ``__init__`` attribute, a
-module-level memo table), summarizes every function's cache traffic,
-and enforces:
+serves stale answers silently.  Over the project index cachelint
+discovers every **cache site** (a ``*Cache``-typed attribute, a
+dict-as-cache ``__init__`` attribute, a module-level memo table),
+summarizes every function's cache traffic, and enforces:
 
 ========  =========================================================
 CACHE001  a cache reachable from a ``clear_caches()`` owner that the
@@ -34,45 +33,12 @@ CACHE001's clear walk, which follows ``clear``-named calls by name —
 there, a missed edge would *invent* a finding rather than suppress one.
 
 Waive a single site with ``# cachelint: ignore[CACHE002] -- reason``;
-the ``.cachelint-baseline.json`` baseline ships **empty** — src/repro
-carries no grandfathered cache debt.  Run via ``python -m repro
-cachelint``; ``--dump-cachegraph`` emits the deterministic
-site/epoch/traffic JSON the analysis ran against.  The findings/pragma/
-baseline/reporter machinery lives in :mod:`repro.devtools.common`,
-shared with detlint, conclint and locklint.
+``.lint-baseline.json`` holds **no** CACHE entries — src/repro carries
+no grandfathered cache debt.  Run via ``python -m repro lint``;
+``--dump cachegraph`` emits the deterministic site/epoch/traffic JSON
+the analysis ran against.
 """
 
-from repro.devtools.common.findings import Finding
-from repro.devtools.cachelint.cachegraph import (
-    CacheGraph,
-    CacheOp,
-    FunctionSummary,
-    build_cachegraph,
-)
-from repro.devtools.cachelint.rules import cache_rule_table, run_rules
-from repro.devtools.cachelint.runner import (
-    EXEMPT_MODULES,
-    CacheAnalysis,
-    analyze_paths,
-)
-from repro.devtools.cachelint.sites import (
-    CacheSite,
-    CacheSiteTable,
-    build_cache_sites,
-)
+from repro.devtools.cachelint.rules import RULES, run
 
-__all__ = [
-    "EXEMPT_MODULES",
-    "CacheAnalysis",
-    "CacheGraph",
-    "CacheOp",
-    "CacheSite",
-    "CacheSiteTable",
-    "Finding",
-    "FunctionSummary",
-    "analyze_paths",
-    "build_cache_sites",
-    "build_cachegraph",
-    "cache_rule_table",
-    "run_rules",
-]
+__all__ = ["RULES", "run"]

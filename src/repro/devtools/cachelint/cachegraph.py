@@ -29,17 +29,19 @@ import ast
 import json
 from dataclasses import dataclass, field
 
-from repro.devtools.conclint.symbols import (
+from repro.devtools.cachelint.sites import (
+    EPOCH_NAME_RE,
+    EXEMPT_MODULES,
+    CacheSite,
+    CacheSiteTable,
+)
+from repro.devtools.common.context import in_modules
+from repro.devtools.common.index import (
     FunctionInfo,
     ProjectIndex,
     iter_own_nodes,
-)
-from repro.devtools.cachelint.sites import (
-    EPOCH_NAME_RE,
-    CacheSite,
-    CacheSiteTable,
-    build_cache_sites,
     resolve_annotation,
+    self_attr,
 )
 
 __all__ = [
@@ -145,7 +147,7 @@ class CacheGraph:
 
     def to_json(self) -> str:
         """The sites, epoch tables and per-function op counts as
-        deterministic JSON (the ``--dump-cachegraph`` artifact)."""
+        deterministic JSON (the ``--dump cachegraph`` artifact)."""
         ops = {}
         for qualname in sorted(self.summaries):
             summary = self.summaries[qualname]
@@ -297,10 +299,10 @@ class Resolver:
     def _attr_step(self, cls: str, attr: str) -> tuple[str, object] | None:
         if cls not in self.index.classes:
             return None
-        site = self.table.attr_site(self.index, cls, attr)
+        site = self.index.inherited(cls, attr, self.table.attr_sites)
         if site is not None:
             return ("site", site)
-        typed = self.table.attr_type(self.index, cls, attr)
+        typed = self.index.attr_type(cls, attr)
         if typed is not None:
             return ("type", typed)
         # Property returning a typed value (``retriever.snippet_cache``).
@@ -326,14 +328,12 @@ class Resolver:
                         isinstance(value.value, ast.Name)
                         and value.value.id == "self"
                     ):
-                        hop = self.table.attr_site(
-                            self.index, candidate, value.attr
+                        hop = self.index.inherited(
+                            candidate, value.attr, self.table.attr_sites
                         )
                         if hop is not None:
                             return ("site", hop)
-                        hop_type = self.table.attr_type(
-                            self.index, candidate, value.attr
-                        )
+                        hop_type = self.index.attr_type(candidate, value.attr)
                         if hop_type is not None:
                             return ("type", hop_type)
             break
@@ -384,16 +384,6 @@ def _prepass(
             elif isinstance(value, (ast.Set, ast.SetComp)):
                 summary.local_types[target.id] = "set"
                 summary.mutable_locals[target.id] = node.lineno
-
-
-def _self_attr_of(expr: ast.expr) -> str | None:
-    if (
-        isinstance(expr, ast.Attribute)
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == "self"
-    ):
-        return expr.attr
-    return None
 
 
 def _extract_ops(
@@ -490,7 +480,7 @@ def _extract_ops(
             # Raw reach into a cache primitive's underscore store:
             # ``engine._answer_cache`` handled above (it IS the site);
             # ``bc._cache[...]`` handled by the subscript branch below.
-            attr = _self_attr_of(receiver)
+            attr = self_attr(receiver)
             if attr is not None and method in _MUTATING_METHODS:
                 summary.self_mutations.append((node.lineno, attr, method))
             # setdefault(...).append(...) chains mutate the inner attr.
@@ -498,7 +488,7 @@ def _extract_ops(
                 isinstance(receiver, ast.Call)
                 and isinstance(receiver.func, ast.Attribute)
             ):
-                inner = _self_attr_of(receiver.func.value)
+                inner = self_attr(receiver.func.value)
                 if inner is not None and method in _MUTATING_METHODS:
                     summary.self_mutations.append((node.lineno, inner, method))
             # Local in-place mutation (CACHE004's post-insert check).
@@ -527,7 +517,7 @@ def _extract_ops(
                                 via="[]=",
                             )
                         )
-                    attr = _self_attr_of(target.value)
+                    attr = self_attr(target.value)
                     if attr is not None:
                         summary.self_mutations.append(
                             (node.lineno, attr, "[]=")
@@ -541,12 +531,12 @@ def _extract_ops(
                             target.value, node.lineno, "[]="
                         )
                 else:
-                    attr = _self_attr_of(target)
+                    attr = self_attr(target)
                     if attr is not None:
                         summary.self_rebinds.append((node.lineno, attr))
                         if EPOCH_NAME_RE.search(attr):
                             summary.counter_bumps.add(attr)
-                        site = table.attr_sites.get((cls, attr)) if cls else None
+                        site = table.attr_sites.get(cls, {}).get(attr)
                         if site is not None and isinstance(
                             node.value, (ast.Dict, ast.DictComp)
                         ):
@@ -565,14 +555,14 @@ def _extract_ops(
             # counter), not a collection mutation; only subscript
             # augassigns mutate stored state in place.
             if isinstance(node.target, ast.Subscript):
-                inner = _self_attr_of(node.target.value)
+                inner = self_attr(node.target.value)
                 if inner is not None:
                     summary.self_mutations.append((node.lineno, inner, "[]+="))
 
         elif isinstance(node, ast.Delete):
             for target in node.targets:
                 if isinstance(target, ast.Subscript):
-                    inner = _self_attr_of(target.value)
+                    inner = self_attr(target.value)
                     if inner is not None:
                         summary.self_mutations.append(
                             (target.value.lineno, inner, "del[]")
@@ -640,27 +630,19 @@ def _extract_ops(
         # AugAssign (handled above for epoch names); record counter-ish
         # attrs separately.
         if isinstance(node, ast.AugAssign):
-            attr = _self_attr_of(node.target)
+            attr = self_attr(node.target)
             if attr is not None:
                 summary.counter_bumps.add(attr)
 
 
-def build_cachegraph(
-    index: ProjectIndex,
-    table: CacheSiteTable | None = None,
-    exempt_modules: tuple[str, ...] = (),
-) -> CacheGraph:
-    """Summarize every function's cache traffic over the site table."""
-    if table is None:
-        table = build_cache_sites(index)
+def build_cachegraph(index: ProjectIndex, table: CacheSiteTable) -> CacheGraph:
+    """Summarize every (non-exempt) function's cache traffic over the
+    site table."""
     summaries: dict[str, FunctionSummary] = {}
     graph = CacheGraph(index, table, summaries)
     for qualname in sorted(index.functions):
         fn = index.functions[qualname]
-        if any(
-            fn.module == prefix or fn.module.startswith(prefix + ".")
-            for prefix in exempt_modules
-        ):
+        if in_modules(fn.module, EXEMPT_MODULES):
             continue
         summary = FunctionSummary(fn=fn)
         cls = graph.effective_cls(fn)

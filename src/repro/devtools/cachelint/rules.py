@@ -10,49 +10,18 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.devtools.common.findings import Finding
 from repro.devtools.cachelint.cachegraph import (
     CacheGraph,
     FunctionSummary,
+    build_cachegraph,
     key_has_epoch,
 )
-from repro.devtools.cachelint.sites import EPOCH_NAME_RE
+from repro.devtools.cachelint.sites import EPOCH_NAME_RE, build_cache_sites
+from repro.devtools.common.findings import Finding, Rule
+from repro.devtools.common.index import ProjectIndex
 
-__all__ = ["RULES", "cache_rule_table", "run_rules"]
+__all__ = ["RULES", "run"]
 
-RULES = (
-    (
-        "CACHE001",
-        "unregistered cache",
-        "a cache reachable from a clear_caches() owner is never cleared "
-        "by it (survives world-level invalidation)",
-    ),
-    (
-        "CACHE002",
-        "epoch-free cache key",
-        "a cache filled from index/corpus-derived state is keyed without "
-        "an epoch/generation component (entries outlive the data they "
-        "were computed from)",
-    ),
-    (
-        "CACHE003",
-        "mutation without epoch bump",
-        "a method of an epoch-bearing class mutates its keyed state "
-        "without bumping the generation counter on that path",
-    ),
-    (
-        "CACHE004",
-        "cached value mutated after insert",
-        "a mutable value stored in a cache escapes and is mutated after "
-        "insertion (every later hit observes the mutation)",
-    ),
-    (
-        "CACHE005",
-        "cache contract bypass",
-        "raw storage access from outside the owning cache, or an insert "
-        "that skips the hit/miss counter contract",
-    ),
-)
 
 #: Counter attrs that satisfy the miss half of the contract.
 _MISS_RE = re.compile(r"miss", re.IGNORECASE)
@@ -65,38 +34,13 @@ _COUNTER_RE = re.compile(r"hit|miss", re.IGNORECASE)
 _CLEARISH_RE = re.compile(r"clear|reset|invalidate", re.IGNORECASE)
 
 
-def cache_rule_table() -> list[tuple[str, str, str]]:
-    return [(code, title, summary) for code, title, summary in RULES]
-
-
-def _finding(
-    graph: CacheGraph, path: str, line: int, rule: str, message: str
-) -> Finding:
-    minfo = next(
-        (m for m in graph.index.modules.values() if m.path == path), None
-    )
-    snippet = minfo.ctx.snippet(line) if minfo is not None else ""
-    return Finding(
-        path=path,
-        line=line,
-        col=0,
-        rule=rule,
-        message=message,
-        snippet=snippet,
-        end_line=line,
-        stmt_line=line,
-    )
-
-
-def run_rules(graph: CacheGraph) -> list[Finding]:
+def run(index: ProjectIndex) -> tuple[list[Finding], CacheGraph]:
+    """Every CACHE finding, and the cache graph the rules ran against."""
+    graph = build_cachegraph(index, build_cache_sites(index))
     findings: list[Finding] = []
-    findings.extend(_cache001(graph))
-    findings.extend(_cache002(graph))
-    findings.extend(_cache003(graph))
-    findings.extend(_cache004(graph))
-    findings.extend(_cache005(graph))
-    findings.sort()
-    return findings
+    for rule in RULES:
+        findings.extend(rule.check(graph, rule.code))
+    return findings, graph
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +50,7 @@ def run_rules(graph: CacheGraph) -> list[Finding]:
 def _reachable_classes(graph: CacheGraph, root: str) -> set[str]:
     """Classes reachable from ``root`` through typed attributes,
     annotation leaves and class-hierarchy dispatch."""
-    table, index = graph.table, graph.index
+    index = graph.index
     reached: set[str] = set()
     frontier = [root]
     while frontier:
@@ -120,10 +64,10 @@ def _reachable_classes(graph: CacheGraph, root: str) -> set[str]:
             nxt: set[str] = set()
             nxt.update(
                 t
-                for t in table.attr_types.get(member, {}).values()
+                for t in index.attr_types.get(member, {}).values()
                 if t in index.classes
             )
-            for leaves in table.attr_leaves.get(member, {}).values():
+            for leaves in index.attr_leaves.get(member, {}).values():
                 nxt.update(leaves)
             frontier.extend(sorted(nxt - reached))
     return reached
@@ -173,7 +117,7 @@ def _clear_walk(graph: CacheGraph, start: str) -> set[str]:
     return cleared
 
 
-def _cache001(graph: CacheGraph) -> list[Finding]:
+def _cache001(graph: CacheGraph, code: str) -> list[Finding]:
     findings: list[Finding] = []
     index, table = graph.index, graph.table
     roots = [
@@ -195,11 +139,10 @@ def _cache001(graph: CacheGraph) -> list[Finding]:
             if site.name in cleared:
                 continue
             findings.append(
-                _finding(
-                    graph,
+                graph.index.line_finding(
                     site.path,
                     site.lineno,
-                    "CACHE001",
+                    code,
                     f"cache {site.name} is reachable from "
                     f"{root_cls}.clear_caches() but never cleared by it — "
                     f"register it so world-level invalidation covers "
@@ -225,7 +168,7 @@ def _fn_is_coupled(graph: CacheGraph, summary: FunctionSummary) -> bool:
     )
 
 
-def _cache002(graph: CacheGraph) -> list[Finding]:
+def _cache002(graph: CacheGraph, code: str) -> list[Finding]:
     findings: list[Finding] = []
     for qualname in sorted(graph.summaries):
         summary = graph.summaries[qualname]
@@ -240,11 +183,10 @@ def _cache002(graph: CacheGraph) -> list[Finding]:
             if key_has_epoch(op.key, summary):
                 continue
             findings.append(
-                _finding(
-                    graph,
+                graph.index.line_finding(
                     path,
                     op.line,
-                    "CACHE002",
+                    code,
                     f"insert into {op.site} from epoch-coupled "
                     f"{qualname} builds its key without an "
                     f"epoch/generation component — entries will be "
@@ -258,7 +200,7 @@ def _cache002(graph: CacheGraph) -> list[Finding]:
 # CACHE003 — mutation of epoch-bearing state without a bump
 
 
-def _cache003(graph: CacheGraph) -> list[Finding]:
+def _cache003(graph: CacheGraph, code: str) -> list[Finding]:
     findings: list[Finding] = []
     index, table = graph.index, graph.table
     # Per epoch-bearing class: which attrs do *bumping* methods rebind
@@ -300,11 +242,10 @@ def _cache003(graph: CacheGraph) -> list[Finding]:
                 if attr in counters:
                     continue
                 findings.append(
-                    _finding(
-                        graph,
+                    graph.index.line_finding(
                         path,
                         line,
-                        "CACHE003",
+                        code,
                         f"{summary.fn.qualname} mutates "
                         f"{cls.rsplit('.', 1)[-1]}.{attr} ({via}) without "
                         f"bumping the epoch counter "
@@ -320,7 +261,7 @@ def _cache003(graph: CacheGraph) -> list[Finding]:
 # CACHE004 — cached mutable value mutated after insert
 
 
-def _cache004(graph: CacheGraph) -> list[Finding]:
+def _cache004(graph: CacheGraph, code: str) -> list[Finding]:
     findings: list[Finding] = []
     #: Functions whose site-insert value is a mutable local they also
     #: return raw: qualname -> insert line.
@@ -341,11 +282,10 @@ def _cache004(graph: CacheGraph) -> list[Finding]:
             ]
             if post:
                 findings.append(
-                    _finding(
-                        graph,
+                    graph.index.line_finding(
                         path,
                         min(post),
-                        "CACHE004",
+                        code,
                         f"{local!r} was stored in {op.site} at line "
                         f"{op.line} and is mutated afterwards — every "
                         f"later cache hit observes the mutation",
@@ -386,11 +326,10 @@ def _cache004(graph: CacheGraph) -> list[Finding]:
                 ]
                 if post:
                     findings.append(
-                        _finding(
-                            graph,
+                        graph.index.line_finding(
                             path,
                             min(post),
-                            "CACHE004",
+                            code,
                             f"mutating the result of {method}() — the "
                             f"value is also stored in a cache by "
                             f"{callees[0]}, so the mutation corrupts "
@@ -404,7 +343,7 @@ def _cache004(graph: CacheGraph) -> list[Finding]:
 # CACHE005 — contract bypass
 
 
-def _cache005(graph: CacheGraph) -> list[Finding]:
+def _cache005(graph: CacheGraph, code: str) -> list[Finding]:
     findings: list[Finding] = []
     index, table = graph.index, graph.table
     for qualname in sorted(graph.summaries):
@@ -416,11 +355,10 @@ def _cache005(graph: CacheGraph) -> list[Finding]:
             if target_cls in family:
                 continue
             findings.append(
-                _finding(
-                    graph,
+                graph.index.line_finding(
                     path,
                     line,
-                    "CACHE005",
+                    code,
                     f"raw reach into {target_cls.rsplit('.', 1)[-1]}.{attr} "
                     f"({via}) from outside the cache class — go through "
                     f"its counted get/put interface",
@@ -444,11 +382,10 @@ def _cache005(graph: CacheGraph) -> list[Finding]:
             raw_class = site.kind == "cache-class" and op.kind == "store-access"
             if external and (raw_dict or raw_class):
                 findings.append(
-                    _finding(
-                        graph,
+                    graph.index.line_finding(
                         path,
                         op.line,
-                        "CACHE005",
+                        code,
                         f"raw storage access ({op.via}) on {op.site} from "
                         f"outside {site.owner} — go through the owner's "
                         f"counted get/put interface",
@@ -465,11 +402,10 @@ def _cache005(graph: CacheGraph) -> list[Finding]:
                 )
             ):
                 findings.append(
-                    _finding(
-                        graph,
+                    graph.index.line_finding(
                         path,
                         op.line,
-                        "CACHE005",
+                        code,
                         f"insert into counter-bearing cache {op.site} "
                         f"without recording the miss — hit-rate "
                         f"accounting drifts from reality",
@@ -480,7 +416,7 @@ def _cache005(graph: CacheGraph) -> list[Finding]:
 
 def _counter_bearing(graph: CacheGraph, owner: str) -> bool:
     """Whether a class tracks hit/miss counters next to its dict cache."""
-    attrs = set(graph.table.attr_types.get(owner, {}))
+    attrs = set(graph.index.attr_types.get(owner, {}))
     cinfo = graph.index.classes.get(owner)
     if cinfo is not None:
         init_q = cinfo.methods.get("__init__")
@@ -490,3 +426,43 @@ def _counter_bearing(graph: CacheGraph, owner: str) -> bool:
         if init_summary is not None:
             attrs.update(attr for __, attr in init_summary.self_rebinds)
     return any(_COUNTER_RE.search(a) for a in attrs)
+
+
+RULES = (
+    Rule(
+        "CACHE001",
+        "unregistered cache",
+        "a cache reachable from a clear_caches() owner is never cleared "
+        "by it (survives world-level invalidation)",
+        _cache001,
+    ),
+    Rule(
+        "CACHE002",
+        "epoch-free cache key",
+        "a cache filled from index/corpus-derived state is keyed without "
+        "an epoch/generation component (entries outlive the data they "
+        "were computed from)",
+        _cache002,
+    ),
+    Rule(
+        "CACHE003",
+        "mutation without epoch bump",
+        "a method of an epoch-bearing class mutates its keyed state "
+        "without bumping the generation counter on that path",
+        _cache003,
+    ),
+    Rule(
+        "CACHE004",
+        "cached value mutated after insert",
+        "a mutable value stored in a cache escapes and is mutated after "
+        "insertion (every later hit observes the mutation)",
+        _cache004,
+    ),
+    Rule(
+        "CACHE005",
+        "cache contract bypass",
+        "raw storage access from outside the owning cache, or an insert "
+        "that skips the hit/miss counter contract",
+        _cache005,
+    ),
+)

@@ -33,6 +33,13 @@ attributes or class-hierarchy dispatch, epoch-bearing state — the search
 engine, the retriever, every answer engine, the world).  A cache filled
 from epoch-coupled state must embed the epoch in its keys; that is the
 obligation CACHE002 enforces.
+
+``repro.cachewitness`` — the runtime staleness witness — is exempt by
+construction: it *implements* cache verification (its entry table is a
+fingerprint store keyed alongside the caches it audits), so it cannot
+satisfy the caller-side discipline it exists to enforce, exactly as
+``repro.lockorder`` is exempt from locklint.  Its sites are not
+discovered and its functions are not summarized.
 """
 
 from __future__ import annotations
@@ -41,24 +48,20 @@ import ast
 import re
 from dataclasses import dataclass, field, replace
 
-from repro.devtools.conclint.symbols import (
-    ModuleInfo,
-    ProjectIndex,
-    iter_own_nodes,
-)
-from repro.devtools.locklint.sites import (
-    _self_attr,
-    _value_type,
-    resolve_annotation,
-)
+from repro.devtools.common.context import in_modules
+from repro.devtools.common.index import ProjectIndex, iter_own_nodes, self_attr
 
 __all__ = [
     "CACHE_ATTR_RE",
     "CACHE_GLOBAL_RE",
+    "EXEMPT_MODULES",
     "CacheSite",
     "CacheSiteTable",
     "build_cache_sites",
 ]
+
+#: Module prefixes the cache-coherence rules do not apply to.
+EXEMPT_MODULES = ("repro.cachewitness",)
 
 #: Attribute names that declare dict-as-cache intent.
 CACHE_ATTR_RE = re.compile(r"cache|memo", re.IGNORECASE)
@@ -110,23 +113,14 @@ class CacheSite:
 
 @dataclass
 class CacheSiteTable:
-    """Every discovered site plus the typing and epoch tables."""
+    """Every discovered site plus the epoch tables."""
 
     #: site name -> site.
     sites: dict[str, CacheSite] = field(default_factory=dict)
-    #: (class qualname, attr) -> site.
-    attr_sites: dict[tuple[str, str], CacheSite] = field(default_factory=dict)
+    #: class qualname -> attr -> site.
+    attr_sites: dict[str, dict[str, CacheSite]] = field(default_factory=dict)
     #: global qualname -> site.
     global_sites: dict[str, CacheSite] = field(default_factory=dict)
-    #: class qualname -> attr name -> type (project class qualname, a
-    #: dotted external name, or ``dict``/``list``/``set``).
-    attr_types: dict[str, dict[str, str]] = field(default_factory=dict)
-    #: class qualname -> attr name -> project classes named anywhere in
-    #: the attr's annotation (``dict[str, AnswerEngine]`` contributes
-    #: ``AnswerEngine``) — reachability fuel for CACHE001.
-    attr_leaves: dict[str, dict[str, tuple[str, ...]]] = field(
-        default_factory=dict
-    )
     #: in-project classes whose name ends in ``Cache``.
     cache_classes: set[str] = field(default_factory=set)
     #: cache classes that implement the primitive itself.
@@ -136,24 +130,6 @@ class CacheSiteTable:
     epoch_bearing: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: classes holding epoch-bearing state, transitively.
     epoch_coupled: set[str] = field(default_factory=set)
-
-    def attr_site(
-        self, index: ProjectIndex, cls: str, attr: str
-    ) -> CacheSite | None:
-        """The site ``self.<attr>`` names in class ``cls``, honouring
-        inheritance (a subclass method fills its base's memo)."""
-        for candidate in [cls, *index.ancestors(cls)]:
-            site = self.attr_sites.get((candidate, attr))
-            if site is not None:
-                return site
-        return None
-
-    def attr_type(self, index: ProjectIndex, cls: str, attr: str) -> str | None:
-        for candidate in [cls, *index.ancestors(cls)]:
-            typed = self.attr_types.get(candidate, {}).get(attr)
-            if typed is not None:
-                return typed
-        return None
 
     def is_coupled(self, index: ProjectIndex, cls: str | None) -> bool:
         """Whether ``cls`` (or any class in its family) holds epoch-bearing
@@ -167,37 +143,6 @@ class CacheSiteTable:
             member in self.epoch_coupled
             for member in index.class_family(cls)
         )
-
-
-def annotation_leaves(
-    node: ast.expr | None, minfo: ModuleInfo, index: ProjectIndex
-) -> tuple[str, ...]:
-    """Every in-project class named anywhere inside an annotation.
-
-    Unlike :func:`resolve_annotation` (which wants the single type an
-    expression *is*), this collects container element types too:
-    ``dict[str, AnswerEngine]`` yields ``AnswerEngine`` — which is how
-    CACHE001's reachability walk crosses the world's engine table.
-    """
-    if node is None:
-        return ()
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            node = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return ()
-    found: list[str] = []
-    for child in [node, *ast.walk(node)]:
-        resolved: str | None = None
-        if isinstance(child, ast.Name):
-            resolved = minfo.classes.get(child.id) or minfo.ctx.imports.get(
-                child.id
-            )
-        elif isinstance(child, ast.Attribute):
-            resolved = minfo.ctx.resolve(child)
-        if resolved in index.classes and resolved not in found:
-            found.append(resolved)
-    return tuple(found)
 
 
 def _epoch_counter_attrs(index: ProjectIndex, cls_qualname: str) -> tuple[str, ...] | None:
@@ -225,81 +170,12 @@ def _epoch_counter_attrs(index: ProjectIndex, cls_qualname: str) -> tuple[str, .
         for node in iter_own_nodes(fn.node):
             if isinstance(node, ast.Return) and node.value is not None:
                 for sub in ast.walk(node.value):
-                    attr = _self_attr(sub) if isinstance(sub, ast.Attribute) else None
+                    attr = self_attr(sub) if isinstance(sub, ast.Attribute) else None
                     if attr is not None and attr not in attrs:
                         attrs.append(attr)
     if not bearing:
         return None
     return tuple(attrs)
-
-
-def _scan_class_types(
-    index: ProjectIndex, table: CacheSiteTable, class_qualname: str
-) -> None:
-    """Fill ``attr_types``/``attr_leaves`` for one class (the locklint
-    pattern: class-level annotations, annotated ``__init__`` params
-    stored on ``self``, and ``__init__`` assignments)."""
-    cinfo = index.classes[class_qualname]
-    minfo = index.modules[cinfo.module]
-    types = table.attr_types.setdefault(class_qualname, {})
-    leaves = table.attr_leaves.setdefault(class_qualname, {})
-
-    for stmt in cinfo.node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            typed = resolve_annotation(stmt.annotation, minfo, index)
-            if typed is not None:
-                types.setdefault(stmt.target.id, typed)
-            found = annotation_leaves(stmt.annotation, minfo, index)
-            if found:
-                leaves.setdefault(stmt.target.id, found)
-
-    init_qualname = cinfo.methods.get("__init__")
-    init = index.functions.get(init_qualname) if init_qualname else None
-    if init is None:
-        return
-
-    param_types: dict[str, str] = {}
-    param_leaves: dict[str, tuple[str, ...]] = {}
-    args = init.node.args
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        typed = resolve_annotation(arg.annotation, minfo, index)
-        if typed is not None:
-            param_types[arg.arg] = typed
-        found = annotation_leaves(arg.annotation, minfo, index)
-        if found:
-            param_leaves[arg.arg] = found
-
-    for node in iter_own_nodes(init.node):
-        if isinstance(node, ast.AnnAssign):
-            attr = _self_attr(node.target)
-            if attr is not None:
-                typed = resolve_annotation(node.annotation, minfo, index)
-                if typed is not None:
-                    types.setdefault(attr, typed)
-                found = annotation_leaves(node.annotation, minfo, index)
-                if found:
-                    leaves.setdefault(attr, found)
-            targets: list[ast.expr] = [node.target]
-            value = node.value
-        elif isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        else:
-            continue
-        for target in targets:
-            attr = _self_attr(target)
-            if attr is None:
-                continue
-            if isinstance(value, ast.Name) and value.id in param_types:
-                types.setdefault(attr, param_types[value.id])
-                if value.id in param_leaves:
-                    leaves.setdefault(attr, param_leaves[value.id])
-                continue
-            typed = _value_type(value, minfo, index)
-            if typed is not None:
-                types.setdefault(attr, typed)
-                if typed in index.classes:
-                    leaves.setdefault(attr, (typed,))
 
 
 def _dict_attr_lines(
@@ -324,18 +200,18 @@ def _dict_attr_lines(
         if not isinstance(value, (ast.Dict, ast.DictComp)):
             continue
         for target in targets:
-            attr = _self_attr(target)
+            attr = self_attr(target)
             if attr is not None:
                 found.setdefault(attr, node.lineno)
     return found
 
 
 def build_cache_sites(index: ProjectIndex) -> CacheSiteTable:
-    """Discover every cache site and epoch table across the project."""
+    """Discover every cache site outside :data:`EXEMPT_MODULES`, and the
+    epoch tables across the whole project."""
     table = CacheSiteTable()
 
     for class_qualname in sorted(index.classes):
-        _scan_class_types(index, table, class_qualname)
         cinfo = index.classes[class_qualname]
         if cinfo.name.endswith("Cache"):
             table.cache_classes.add(class_qualname)
@@ -365,10 +241,10 @@ def build_cache_sites(index: ProjectIndex) -> CacheSiteTable:
             reachable: set[str] = set()
             reachable.update(
                 t
-                for t in table.attr_types.get(class_qualname, {}).values()
+                for t in index.attr_types.get(class_qualname, {}).values()
                 if t in index.classes
             )
-            for leaf_types in table.attr_leaves.get(class_qualname, {}).values():
+            for leaf_types in index.attr_leaves.get(class_qualname, {}).values():
                 reachable.update(leaf_types)
             if reachable & coupled:
                 coupled.add(class_qualname)
@@ -378,11 +254,13 @@ def build_cache_sites(index: ProjectIndex) -> CacheSiteTable:
     # Attribute sites.
     for class_qualname in sorted(index.classes):
         cinfo = index.classes[class_qualname]
+        if in_modules(cinfo.module, EXEMPT_MODULES):
+            continue
         minfo = index.modules[cinfo.module]
         dict_lines = _dict_attr_lines(index, class_qualname)
         primitive = class_qualname in table.primitive_classes
-        for attr in sorted(table.attr_types.get(class_qualname, {})):
-            typed = table.attr_types[class_qualname][attr]
+        attr_sites = table.attr_sites.setdefault(class_qualname, {})
+        for attr, typed in sorted(index.attr_types[class_qualname].items()):
             if typed in table.cache_classes:
                 site = CacheSite(
                     name=f"{cinfo.name}.{attr}",
@@ -396,12 +274,12 @@ def build_cache_sites(index: ProjectIndex) -> CacheSiteTable:
                 )
                 site = _at_init_line(index, class_qualname, attr, site)
                 table.sites[site.name] = site
-                table.attr_sites[(class_qualname, attr)] = site
+                attr_sites[attr] = site
         if primitive:
             # The internal store of a cache primitive is not a site.
             continue
         for attr, lineno in sorted(dict_lines.items()):
-            if (class_qualname, attr) in table.attr_sites:
+            if attr in attr_sites:
                 continue
             if not CACHE_ATTR_RE.search(attr):
                 continue
@@ -415,12 +293,14 @@ def build_cache_sites(index: ProjectIndex) -> CacheSiteTable:
                 lineno=lineno,
             )
             table.sites[site.name] = site
-            table.attr_sites[(class_qualname, attr)] = site
+            attr_sites[attr] = site
 
     # Module-global sites.
     for qualname in sorted(index.globals):
         var = index.globals[qualname]
         if var.kind != "mutable" or not CACHE_GLOBAL_RE.search(var.name):
+            continue
+        if in_modules(var.module, EXEMPT_MODULES):
             continue
         minfo = index.modules[var.module]
         site = CacheSite(
@@ -463,6 +343,6 @@ def _at_init_line(
         else:
             continue
         for target in targets:
-            if _self_attr(target) == attr:
+            if self_attr(target) == attr:
                 return replace(site, lineno=node.lineno)
     return site

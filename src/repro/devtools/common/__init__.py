@@ -1,87 +1,21 @@
-"""Machinery shared by the in-house analyzers (detlint, conclint,
-locklint, cachelint).
+"""Machinery shared by the four rule families (detlint, conclint,
+locklint, cachelint) that ``python -m repro lint`` runs:
 
-Extracted from detlint once conclint started borrowing it "via a tool
-parameter"; with locklint the count reached three consumers, so the
-shared pieces now live here as one implementation:
-
+* :mod:`~repro.devtools.common.index` — the :class:`ProjectIndex` every
+  file is parsed into once, and the typed receiver resolution built on
+  it;
 * :mod:`~repro.devtools.common.findings` — the :class:`Finding` record
-  every rule produces;
-* :mod:`~repro.devtools.common.pragmas` — ``# <tool>: ignore[...]`` /
-  ``skip-file`` waiver parsing, parameterized by tool name;
+  every rule produces and the :class:`Rule` row of every rule table;
+* :mod:`~repro.devtools.common.pragmas` — ``# <family>: ignore[...]`` /
+  ``skip-file`` waiver parsing, one namespace per family;
 * :mod:`~repro.devtools.common.baseline` — the grandfathered-findings
   JSON baseline with mandatory reasons;
 * :mod:`~repro.devtools.common.report` — :class:`LintReport` and
   deterministic file discovery;
 * :mod:`~repro.devtools.common.reporters` — text and JSON rendering;
-* :mod:`~repro.devtools.common.sarif` — SARIF 2.1.0 rendering for CI
-  and editor ingestion, one mapping for all four tools;
 * :mod:`~repro.devtools.common.context` — per-module import-alias
-  resolution (:class:`ModuleContext`);
-* :mod:`~repro.devtools.common.cli` — the shared subcommand skeleton
-  (``--format/--baseline/--update-baseline/--list-rules`` + per-tool
-  dump flags) and the :data:`~repro.devtools.common.cli.TOOL_COMMANDS`
-  registry that puts every analyzer on the ``python -m repro`` surface.
+  resolution (:class:`ModuleContext`).
 
-Tool-specific rule engines stay in their own packages; nothing here
-knows any rule code.
+The rule engines stay in their families' packages; nothing here knows
+any rule code.
 """
-
-from repro.devtools.common.baseline import (
-    apply_baseline,
-    existing_reasons,
-    load_baseline,
-    write_baseline,
-)
-from repro.devtools.common.cli import (
-    TOOL_COMMANDS,
-    DumpOption,
-    ToolCLI,
-    ToolCommand,
-    configure_parser,
-    register_tool_parsers,
-    run_tool,
-    run_tool_command,
-)
-from repro.devtools.common.context import (
-    ModuleContext,
-    collect_imports,
-    module_name_for,
-)
-from repro.devtools.common.findings import Finding
-from repro.devtools.common.pragmas import Pragmas, apply_waivers, parse_pragmas
-from repro.devtools.common.report import (
-    DEFAULT_PATHS,
-    LintReport,
-    iter_python_files,
-)
-from repro.devtools.common.reporters import render_json, render_text
-from repro.devtools.common.sarif import render_sarif
-
-__all__ = [
-    "DEFAULT_PATHS",
-    "DumpOption",
-    "Finding",
-    "LintReport",
-    "ModuleContext",
-    "Pragmas",
-    "TOOL_COMMANDS",
-    "ToolCLI",
-    "ToolCommand",
-    "apply_baseline",
-    "apply_waivers",
-    "collect_imports",
-    "configure_parser",
-    "existing_reasons",
-    "iter_python_files",
-    "load_baseline",
-    "module_name_for",
-    "parse_pragmas",
-    "register_tool_parsers",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "run_tool",
-    "run_tool_command",
-    "write_baseline",
-]

@@ -4,8 +4,7 @@ The rules never inspect raw AST names directly — they ask the context to
 *resolve* an expression to a canonical dotted path (``random.Random``,
 ``datetime.datetime.now``, ``repro.llm.rng.derive_seed``), which makes
 ``import random as _random`` and ``from random import Random as R``
-indistinguishable from the plain spellings.  detlint's per-file rules,
-conclint's project index and locklint's lock-site typing all resolve
+indistinguishable from the plain spellings.  Every rule family resolves
 through this one table.
 """
 
@@ -14,7 +13,15 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-__all__ = ["ModuleContext", "collect_imports", "module_name_for"]
+__all__ = ["ModuleContext", "collect_imports", "in_modules", "module_name_for"]
+
+
+def in_modules(module: str, prefixes: tuple[str, ...]) -> bool:
+    """Whether a dotted name is one of ``prefixes`` or lies inside one."""
+    return any(
+        module == prefix or module.startswith(prefix + ".")
+        for prefix in prefixes
+    )
 
 
 def module_name_for(path_parts: tuple[str, ...]) -> str:

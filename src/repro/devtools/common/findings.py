@@ -1,15 +1,29 @@
-"""The :class:`Finding` record every in-house analyzer produces.
+"""The :class:`Finding` record every rule produces, and the :class:`Rule`
+row every family's rule table is made of.
 
-detlint, conclint and locklint all report through this one dataclass so
-the pragma, baseline and reporter machinery in
-:mod:`repro.devtools.common` works identically for the three tools.
+All four rule families report through this one dataclass so the
+pragma, baseline and reporter machinery in :mod:`repro.devtools.common`
+works identically for each of them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
-__all__ = ["Finding"]
+__all__ = ["Finding", "Rule"]
+
+
+class Rule(NamedTuple):
+    """One row of a family's rule table, run in table order."""
+
+    code: str
+    title: str
+    summary: str
+    #: The family's check for this rule; what it is called with is the
+    #: family's business (a visitor class, or a function over a graph).
+    check: Callable[..., Any]
 
 
 @dataclass(frozen=True, order=True)

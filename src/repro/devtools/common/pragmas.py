@@ -9,10 +9,10 @@ A bare ``# detlint: ignore`` waives every rule on that line; a
 Comments are extracted with :mod:`tokenize`, so pragma-shaped text inside
 string literals is never mistaken for a waiver.
 
-The pragma prefix is the *tool name* — detlint, conclint and locklint
-each parse with their own ``tool=`` argument, so ``# conclint:
-ignore[CONC002] -- reason`` works identically to the detlint spelling
-without the analyzers' waivers shadowing each other.
+The pragma prefix names the rule family it waives: ``# conclint:
+ignore[CONC002] -- reason`` works exactly like the detlint spelling, and
+each family reads only its own namespace, so a detlint pragma never
+waives a CONC finding on the same line.
 """
 
 from __future__ import annotations
@@ -24,22 +24,15 @@ from dataclasses import dataclass, field, replace
 
 from repro.devtools.common.findings import Finding
 
-__all__ = ["Pragmas", "apply_waivers", "parse_pragmas"]
+__all__ = ["NAMESPACES", "Pragmas", "apply_waivers", "parse_pragmas"]
 
-#: Compiled pragma patterns, one per tool name ("detlint", "conclint",
-#: "locklint").
-_PRAGMA_RES: dict[str, re.Pattern[str]] = {}
+#: One pragma namespace per rule family.
+NAMESPACES = ("detlint", "conclint", "locklint", "cachelint")
 
-
-def _pragma_re(tool: str) -> re.Pattern[str]:
-    pattern = _PRAGMA_RES.get(tool)
-    if pattern is None:
-        pattern = re.compile(
-            rf"#\s*{re.escape(tool)}:\s*(?P<kind>ignore|skip-file)"
-            r"(?:\[(?P<codes>[A-Z0-9,\s]+)\])?"
-        )
-        _PRAGMA_RES[tool] = pattern
-    return pattern
+_PRAGMA_RE = re.compile(
+    rf"#\s*(?P<namespace>{'|'.join(NAMESPACES)}):\s*(?P<kind>ignore|skip-file)"
+    r"(?:\[(?P<codes>[A-Z0-9,\s]+)\])?"
+)
 
 #: Sentinel meaning "waive every rule on this line".
 ALL_RULES = "*"
@@ -75,37 +68,55 @@ class Pragmas:
         )
 
 
-def apply_waivers(findings: list[Finding], pragmas: Pragmas) -> list[Finding]:
-    """Mark pragma-covered findings as waived."""
-    return [
-        replace(f, waived=True) if pragmas.waives_finding(f) else f
-        for f in findings
-    ]
+def apply_waivers(
+    findings: list[Finding], pragmas: dict[str, Pragmas]
+) -> list[Finding]:
+    """Mark pragma-covered findings as waived and drop every finding in
+    a skip-file module; ``pragmas`` maps each module's path to its
+    pragmas in the findings' family namespace."""
+    kept = []
+    for finding in findings:
+        module_pragmas = pragmas[finding.path]
+        if module_pragmas.skip_file:
+            continue
+        kept.append(
+            replace(finding, waived=True)
+            if module_pragmas.waives_finding(finding)
+            else finding
+        )
+    return kept
 
 
-def parse_pragmas(source: str, tool: str = "detlint") -> Pragmas:
-    pragmas = Pragmas()
+def parse_pragmas(source: str) -> dict[str, Pragmas]:
+    """Every namespace's waivers, from one pass over the comments.
+
+    Within one comment each namespace honours its first pragma only.
+    """
+    found = {namespace: Pragmas() for namespace in NAMESPACES}
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):
-        return pragmas
-    pattern = _pragma_re(tool)
+        return found
     for token in tokens:
         if token.type != tokenize.COMMENT:
             continue
-        match = pattern.search(token.string)
-        if match is None:
-            continue
-        if match.group("kind") == "skip-file":
-            pragmas.skip_file = True
-            continue
-        raw_codes = match.group("codes")
-        codes = (
-            frozenset(c.strip() for c in raw_codes.split(",") if c.strip())
-            if raw_codes
-            else frozenset({ALL_RULES})
-        )
-        line = token.start[0]
-        existing = pragmas.by_line.get(line, frozenset())
-        pragmas.by_line[line] = existing | codes
-    return pragmas
+        seen: set[str] = set()
+        for match in _PRAGMA_RE.finditer(token.string):
+            namespace = match.group("namespace")
+            if namespace in seen:
+                continue
+            seen.add(namespace)
+            pragmas = found[namespace]
+            if match.group("kind") == "skip-file":
+                pragmas.skip_file = True
+                continue
+            raw_codes = match.group("codes")
+            codes = (
+                frozenset(c.strip() for c in raw_codes.split(",") if c.strip())
+                if raw_codes
+                else frozenset({ALL_RULES})
+            )
+            line = token.start[0]
+            existing = pragmas.by_line.get(line, frozenset())
+            pragmas.by_line[line] = existing | codes
+    return found

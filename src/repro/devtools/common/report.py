@@ -1,9 +1,11 @@
-"""The report container and file discovery every analyzer shares."""
+"""The report container and file discovery."""
 
 from __future__ import annotations
 
+import errno
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from repro.devtools.common.findings import Finding
 
@@ -17,10 +19,12 @@ DEFAULT_PATHS = ("src/repro",)
 
 @dataclass
 class LintReport:
-    """All findings from one analyzer run, sorted by location."""
+    """All findings from one lint run, sorted by location."""
 
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
+    #: ``--dump`` name -> the graph a family's rules ran against.
+    graphs: dict[str, Any] = field(default_factory=dict)
 
     @property
     def blocking(self) -> list[Finding]:
@@ -49,10 +53,18 @@ class LintReport:
 
 
 def iter_python_files(paths: list[str | Path]) -> list[Path]:
-    """Every ``.py`` file under the given paths, sorted for determinism."""
+    """Every ``.py`` file under the given paths, sorted for determinism.
+
+    Raises :class:`FileNotFoundError` for a path that does not exist, so
+    a mistyped path cannot pass having checked nothing.
+    """
     files: set[Path] = set()
     for raw in paths:
         path = Path(raw)
+        if not path.exists():
+            raise FileNotFoundError(
+                errno.ENOENT, "no such file or directory", str(raw)
+            )
         if path.is_dir():
             files.update(sorted(path.rglob("*.py")))
         elif path.suffix == ".py":

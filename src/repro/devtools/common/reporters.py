@@ -17,14 +17,11 @@ def _status(finding) -> str:
     return ""
 
 
-def render_text(
-    report: LintReport, *, verbose: bool = False, tool: str = "detlint"
-) -> str:
+def render_text(report: LintReport, *, verbose: bool = False) -> str:
     """Human-readable report: one line per finding plus a summary.
 
     Waived findings are hidden unless ``verbose``; baselined ones are
     always shown (they are debt, and debt should stay visible).
-    ``tool`` labels the summary line with the analyzer's name.
     """
     lines = []
     for finding in report.findings:
@@ -37,7 +34,7 @@ def render_text(
             lines.append(f"    {finding.snippet}")
     s = report.summary()
     lines.append(
-        f"{tool}: {s['files']} files, {s['findings']} findings "
+        f"lint: {s['files']} files, {s['findings']} findings "
         f"({s['blocking']} blocking, {s['baselined']} baselined, "
         f"{s['waived']} waived)"
     )

@@ -31,7 +31,7 @@ import ast
 import json
 from dataclasses import dataclass, field
 
-from repro.devtools.conclint.symbols import (
+from repro.devtools.common.index import (
     FunctionInfo,
     ModuleInfo,
     ProjectIndex,
@@ -101,7 +101,7 @@ class CallGraph:
                     frontier.append(callee)
 
     def to_dict(self) -> dict[str, object]:
-        """Deterministic JSON-ready form for ``--dump-callgraph``."""
+        """Deterministic JSON-ready form for ``--dump callgraph``."""
         return {
             "modules": sorted(self.index.modules),
             "functions": {
@@ -142,23 +142,8 @@ def _callable_targets(
     index: ProjectIndex,
 ) -> list[str]:
     """Qualified names an expression may call, resolved best-effort."""
-    # Plain name: nested function, module function, class, or import.
     if isinstance(node, ast.Name):
-        if node.id in fn.nested:
-            return [fn.nested[node.id]]
-        parent = index.functions.get(fn.parent) if fn.parent else None
-        while parent is not None:
-            if node.id in parent.nested:
-                return [parent.nested[node.id]]
-            parent = index.functions.get(parent.parent) if parent.parent else None
-        if node.id in minfo.functions:
-            return [minfo.functions[node.id]]
-        if node.id in minfo.classes:
-            return _class_init(index, minfo.classes[node.id])
-        imported = minfo.ctx.imports.get(node.id)
-        if imported is not None:
-            return _dotted_targets(index, imported)
-        return []
+        return index.name_targets(node.id, fn, minfo)
     if not isinstance(node, ast.Attribute):
         return []
     # self/cls dispatch: class-hierarchy aware.
@@ -168,38 +153,17 @@ def _callable_targets(
         and receiver.id in ("self", "cls")
         and fn.cls is not None
     ):
-        targets = []
-        for family_member in index.class_family(fn.cls):
-            method = index.classes[family_member].methods.get(node.attr)
-            if method is not None:
-                targets.append(method)
-        return targets
+        return index.dispatch(fn.cls, node.attr)
     # Fully resolved dotted path (module function, Class.method, class).
     resolved = minfo.ctx.resolve(node)
     if resolved is not None:
-        return _dotted_targets(index, resolved)
+        return index.dotted_targets(resolved)
     # Unknown receiver: link by method name across the project (cheap
-    # CHA fallback; over-approximate on purpose).
+    # CHA fallback; over-approximate on purpose — the lock and cache
+    # families resolve typed receivers only, and yield nothing here).
     if node.attr in _SKIP_FALLBACK:
         return []
     return index.methods_named(node.attr)
-
-
-def _dotted_targets(index: ProjectIndex, dotted: str) -> list[str]:
-    if dotted in index.functions:
-        return [dotted]
-    if dotted in index.classes:
-        return _class_init(index, dotted)
-    return []
-
-
-def _class_init(index: ProjectIndex, class_qualname: str) -> list[str]:
-    """Constructing a class runs its (possibly inherited) __init__."""
-    for candidate in [class_qualname, *index.ancestors(class_qualname)]:
-        info = index.classes.get(candidate)
-        if info is not None and "__init__" in info.methods:
-            return [info.methods["__init__"]]
-    return []
 
 
 def build_callgraph(index: ProjectIndex) -> CallGraph:

@@ -17,8 +17,8 @@ import ast
 import re
 from dataclasses import dataclass
 
-from repro.devtools.conclint.callgraph import CallGraph, SUBMIT_METHODS
-from repro.devtools.conclint.symbols import (
+from repro.devtools.common.findings import Finding, Rule
+from repro.devtools.common.index import (
     FunctionInfo,
     GlobalVar,
     ModuleInfo,
@@ -26,9 +26,13 @@ from repro.devtools.conclint.symbols import (
     classify_value,
     iter_own_nodes,
 )
-from repro.devtools.common.findings import Finding
+from repro.devtools.conclint.callgraph import (
+    SUBMIT_METHODS,
+    CallGraph,
+    build_callgraph,
+)
 
-__all__ = ["ConcRule", "all_conc_rules", "conc_rule_table", "register_conc"]
+__all__ = ["RULES", "AnalysisContext", "ConcRule", "run"]
 
 #: The blessed module-global write: the one fork handshake
 #: (:func:`repro.forkpool.fork_inherit`) that ships large read-only
@@ -64,29 +68,6 @@ _LOCK_ATTR_RE = re.compile(r"lock", re.IGNORECASE)
 #: the object is not yet published to other threads.
 _INIT_METHODS = frozenset({"__init__", "__new__", "__post_init__"})
 
-_REGISTRY: dict[str, type["ConcRule"]] = {}
-
-
-def register_conc(cls: type["ConcRule"]) -> type["ConcRule"]:
-    """Class decorator adding a conclint rule to the registry."""
-    if not cls.code:
-        raise ValueError(f"rule {cls.__name__} has no code")
-    if cls.code in _REGISTRY:
-        raise ValueError(f"duplicate rule code {cls.code}")
-    _REGISTRY[cls.code] = cls
-    return cls
-
-
-def all_conc_rules() -> list[type["ConcRule"]]:
-    """Registered rule classes, ordered by code."""
-    return [_REGISTRY[code] for code in sorted(_REGISTRY)]
-
-
-def conc_rule_table() -> list[tuple[str, str, str]]:
-    """``(code, title, summary)`` rows for ``conclint --list-rules``."""
-    return [(cls.code, cls.title, cls.summary) for cls in all_conc_rules()]
-
-
 @dataclass
 class AnalysisContext:
     """What every rule gets to see: the symbol table and the call graph."""
@@ -108,13 +89,11 @@ class ConcRule:
     parent-side rules (CONC003) see every function.
     """
 
-    code: str = ""
-    title: str = ""
-    summary: str = ""
     worker_side: bool = True
 
-    def __init__(self, actx: AnalysisContext) -> None:
+    def __init__(self, actx: AnalysisContext, code: str) -> None:
         self.actx = actx
+        self.code = code
         self.findings: list[Finding] = []
 
     def check_function(self, fn: FunctionInfo) -> None:
@@ -123,8 +102,6 @@ class ConcRule:
     def run(self) -> list[Finding]:
         for qualname in sorted(self.actx.index.functions):
             fn = self.actx.index.functions[qualname]
-            if self.actx.index.modules[fn.module].pragmas.skip_file:
-                continue
             if self.worker_side and not self.actx.graph.is_worker_reachable(
                 qualname
             ):
@@ -253,7 +230,6 @@ def _loaded_names(node: ast.AST) -> set[str]:
 # CONC001 — module-global mutation from worker-reachable code
 
 
-@register_conc
 class GlobalMutationRule(ConcRule):
     """CONC001 — worker-reachable code writes module-level state.
 
@@ -265,13 +241,6 @@ class GlobalMutationRule(ConcRule):
     ``repro.forkpool._INHERITED``, which is written strictly
     parent-side around pool creation.
     """
-
-    code = "CONC001"
-    title = "global mutation"
-    summary = (
-        "assignment or in-place mutation of module-level state from "
-        "worker-reachable code (the fork_inherit handshake is exempt)"
-    )
 
     def check_function(self, fn: FunctionInfo) -> None:
         minfo = self.actx.module(fn)
@@ -361,7 +330,6 @@ class GlobalMutationRule(ConcRule):
 # CONC002 — unguarded writes to shared instance caches
 
 
-@register_conc
 class UnguardedCacheWriteRule(ConcRule):
     """CONC002 — shared-cache writes on paths not holding the lock.
 
@@ -372,14 +340,6 @@ class UnguardedCacheWriteRule(ConcRule):
     corrupt.  Reads are deliberately not flagged: a stale read of a
     deterministic memo is harmless, a torn write is not.
     """
-
-    code = "CONC002"
-    title = "unguarded cache write"
-    summary = (
-        "write to a shared instance cache (self.*cache*/hit/miss "
-        "counters) outside the corresponding lock in worker-reachable "
-        "code"
-    )
 
     def check_function(self, fn: FunctionInfo) -> None:
         if fn.cls is None or fn.name in _INIT_METHODS:
@@ -583,7 +543,6 @@ class UnguardedCacheWriteRule(ConcRule):
 # CONC003 — parent-side mutation of fork-shipped objects
 
 
-@register_conc
 class ForkShipMutationRule(ConcRule):
     """CONC003 — mutating an object after shipping it to forked workers.
 
@@ -595,13 +554,6 @@ class ForkShipMutationRule(ConcRule):
     handing it to :func:`repro.forkpool.fork_inherit`, whose ``with``
     block is the span in which a parent-side mutation diverges.
     """
-
-    code = "CONC003"
-    title = "post-fork divergence"
-    summary = (
-        "parent-side mutation of an object after assigning it to the "
-        "worker handshake global (fork inheritance divergence)"
-    )
     worker_side = False
 
     def check_function(self, fn: FunctionInfo) -> None:
@@ -725,7 +677,6 @@ class ForkShipMutationRule(ConcRule):
 # CONC004 — fork-unsafe resources crossing the worker boundary
 
 
-@register_conc
 class ForkUnsafeCaptureRule(ConcRule):
     """CONC004 — file handles, locks, executors reaching worker code.
 
@@ -735,13 +686,6 @@ class ForkUnsafeCaptureRule(ConcRule):
     Flag any worker-reachable reference to such a resource, whether via
     a module global or a closure over the submitting function's locals.
     """
-
-    code = "CONC004"
-    title = "fork-unsafe capture"
-    summary = (
-        "open file handle, lock, or executor referenced by "
-        "worker-reachable code (module global or captured closure)"
-    )
     # The lambda-submission check inspects the *submitting* (parent-side)
     # function, so the rule sees every function and gates the
     # worker-side checks on reachability itself.
@@ -832,7 +776,6 @@ class ForkUnsafeCaptureRule(ConcRule):
 # CONC005 — shared RNG instances crossing the worker boundary
 
 
-@register_conc
 class SharedRngRule(ConcRule):
     """CONC005 — a shared ``random.Random`` stream on the worker side.
 
@@ -841,14 +784,6 @@ class SharedRngRule(ConcRule):
     fix is the same discipline detlint's DET001 enforces statically:
     derive a fresh per-task stream with ``derive_rng(*task_key)``.
     """
-
-    code = "CONC005"
-    title = "shared RNG"
-    summary = (
-        "module-level or instance-shared random.Random used by "
-        "worker-reachable code; derive a per-task stream with "
-        "derive_rng(...)"
-    )
 
     def check_function(self, fn: FunctionInfo) -> None:
         minfo = self.actx.module(fn)
@@ -903,3 +838,54 @@ class SharedRngRule(ConcRule):
                     ):
                         attrs.add(target.attr)
         return attrs
+
+
+RULES = (
+    Rule(
+        "CONC001",
+        "global mutation",
+        "assignment or in-place mutation of module-level state from "
+        "worker-reachable code (the fork_inherit handshake is exempt)",
+        GlobalMutationRule,
+    ),
+    Rule(
+        "CONC002",
+        "unguarded cache write",
+        "write to a shared instance cache (self.*cache*/hit/miss "
+        "counters) outside the corresponding lock in worker-reachable "
+        "code",
+        UnguardedCacheWriteRule,
+    ),
+    Rule(
+        "CONC003",
+        "post-fork divergence",
+        "parent-side mutation of an object after assigning it to the "
+        "worker handshake global (fork inheritance divergence)",
+        ForkShipMutationRule,
+    ),
+    Rule(
+        "CONC004",
+        "fork-unsafe capture",
+        "open file handle, lock, or executor referenced by "
+        "worker-reachable code (module global or captured closure)",
+        ForkUnsafeCaptureRule,
+    ),
+    Rule(
+        "CONC005",
+        "shared RNG",
+        "module-level or instance-shared random.Random used by "
+        "worker-reachable code; derive a per-task stream with "
+        "derive_rng(...)",
+        SharedRngRule,
+    ),
+)
+
+
+def run(index: ProjectIndex) -> tuple[list[Finding], CallGraph]:
+    """Every CONC finding, and the call graph the rules ran against."""
+    graph = build_callgraph(index)
+    actx = AnalysisContext(index=index, graph=graph)
+    findings: list[Finding] = []
+    for rule in RULES:
+        findings.extend(rule.check(actx, rule.code).run())
+    return findings, graph

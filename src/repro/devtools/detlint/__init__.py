@@ -1,4 +1,4 @@
-"""detlint — an AST-based determinism & reproducibility linter.
+"""detlint — the determinism & reproducibility rule family.
 
 The reproduction's core invariant is that every result is a pure
 function of ``(seed, config)``; the parallel study runner even promises
@@ -17,23 +17,12 @@ DET006  ``os.environ`` reads outside ``repro.core.config``
 ======  ==========================================================
 
 Waive a single site with ``# detlint: ignore[DET001] -- reason``;
-grandfather legacy debt in ``.detlint-baseline.json`` (baselined
-findings warn, new findings fail).  Run via ``python -m repro lint``.
-The findings/pragma/baseline/reporter machinery lives in
-:mod:`repro.devtools.common`, shared with conclint and locklint.
+grandfather legacy debt in ``.lint-baseline.json`` (baselined findings
+warn, new findings fail).  Run via ``python -m repro lint``, which runs
+these rules over its one parse of the tree alongside the other three
+families.
 """
 
-from repro.devtools.common.findings import Finding
-from repro.devtools.detlint.registry import Rule, all_rules, register, rule_table
-from repro.devtools.detlint.runner import LintReport, lint_paths, lint_source
+from repro.devtools.detlint.rules import RULES, run
 
-__all__ = [
-    "Finding",
-    "LintReport",
-    "Rule",
-    "all_rules",
-    "lint_paths",
-    "lint_source",
-    "register",
-    "rule_table",
-]
+__all__ = ["RULES", "run"]

@@ -1,9 +1,11 @@
 """The determinism rules, DET001–DET006.
 
-Every rule reasons over *resolved* dotted paths (see
-:meth:`ModuleContext.resolve`), so aliased imports cannot hide a
-violation, and method calls on local variables (``rng.random()`` on a
-``derive_rng`` product) are never confused with module-level access.
+Each rule is a small :class:`ast.NodeVisitor` run over every indexed
+module's tree, in :data:`RULES` order.  Every rule reasons over
+*resolved* dotted paths (see :meth:`ModuleContext.resolve`), so aliased
+imports cannot hide a violation, and method calls on local variables
+(``rng.random()`` on a ``derive_rng`` product) are never confused with
+module-level access.
 
 Rules deliberately under-report when the receiver of a call cannot be
 resolved statically: a linter that guesses produces waiver noise, and
@@ -14,9 +16,11 @@ from __future__ import annotations
 
 import ast
 
-from repro.devtools.detlint.registry import Rule, register
+from repro.devtools.common.context import ModuleContext, in_modules
+from repro.devtools.common.findings import Finding, Rule
+from repro.devtools.common.index import ProjectIndex
 
-__all__ = ["ORDER_NEUTRAL_BUILTINS"]
+__all__ = ["ORDER_NEUTRAL_BUILTINS", "RULES", "DetRule", "run"]
 
 #: Builtins through which unordered iteration is harmless: they either
 #: impose an order (``sorted``), return an unordered value again
@@ -28,6 +32,53 @@ ORDER_NEUTRAL_BUILTINS = frozenset(
 _DERIVE_SEED = "repro.llm.rng.derive_seed"
 
 
+class DetRule(ast.NodeVisitor):
+    """Base class for one determinism rule.
+
+    Subclasses optionally set ``exempt_modules`` (dotted prefixes the
+    rule does not apply to) and implement ``visit_*`` methods that call
+    :meth:`report`.
+    """
+
+    #: Dotted module names (exact or package prefixes) this rule skips.
+    exempt_modules: tuple[str, ...] = ()
+
+    def __init__(self, ctx: ModuleContext, code: str) -> None:
+        self.ctx = ctx
+        self.code = code
+        self.findings: list[Finding] = []
+        self._stmt_lines: list[int] = []
+
+    def visit(self, node: ast.AST):
+        # Track the enclosing-statement stack so report() can anchor
+        # pragma lookup to the statement's first line as well as the
+        # violating node's own lines (multi-line statements report deep
+        # inside themselves; the waiver belongs where the statement
+        # starts).
+        if isinstance(node, ast.stmt):
+            self._stmt_lines.append(node.lineno)
+            try:
+                return super().visit(node)
+            finally:
+                self._stmt_lines.pop()
+        return super().visit(node)
+
+    def report(self, node: ast.AST, message: str) -> None:
+        line = getattr(node, "lineno", 0)
+        self.findings.append(
+            Finding(
+                path=self.ctx.path,
+                line=line,
+                col=getattr(node, "col_offset", 0),
+                rule=self.code,
+                message=message,
+                snippet=self.ctx.snippet(line),
+                end_line=getattr(node, "end_lineno", line) or line,
+                stmt_line=self._stmt_lines[-1] if self._stmt_lines else line,
+            )
+        )
+
+
 def _is_builtin(ctx, node: ast.expr, name: str) -> bool:
     """Whether ``node`` is the builtin ``name`` (not rebound by an import)."""
     return (
@@ -37,8 +88,7 @@ def _is_builtin(ctx, node: ast.expr, name: str) -> bool:
     )
 
 
-@register
-class GlobalRandomRule(Rule):
+class GlobalRandomRule(DetRule):
     """DET001 — ad-hoc RNG use outside the derived-seed discipline.
 
     The study's invariant is that every draw is a pure function of
@@ -48,13 +98,6 @@ class GlobalRandomRule(Rule):
     ``random.Random(x)`` constructions invite collision-prone ad-hoc
     seed encodings (the ``(a, b).__repr__()`` trick).
     """
-
-    code = "DET001"
-    title = "ad-hoc RNG"
-    summary = (
-        "random.* call or random.Random(...) not seeded via derive_seed; "
-        "use repro.llm.rng.derive_rng/derive_seed"
-    )
     exempt_modules = ("repro.llm.rng",)
 
     def _is_derived_seed(self, node: ast.expr) -> bool:
@@ -91,8 +134,7 @@ class GlobalRandomRule(Rule):
         self.generic_visit(node)
 
 
-@register
-class WallClockRule(Rule):
+class WallClockRule(DetRule):
     """DET002 — wall-clock reads inside library code.
 
     Results must not depend on when the study runs.  The simulated world
@@ -100,13 +142,6 @@ class WallClockRule(Rule):
     legitimate for operator-facing timing (CLI progress, benchmarks),
     which lives in ``tools/``/``benchmarks/`` or carries a waiver.
     """
-
-    code = "DET002"
-    title = "wall clock"
-    summary = (
-        "time.time/monotonic or datetime.now/utcnow/today in library code; "
-        "thread the StudyClock/config date instead"
-    )
 
     _FORBIDDEN = frozenset(
         {
@@ -136,8 +171,7 @@ class WallClockRule(Rule):
         self.generic_visit(node)
 
 
-@register
-class SetOrderRule(Rule):
+class SetOrderRule(DetRule):
     """DET003 — iteration order of unordered collections leaking out.
 
     Set iteration order varies with ``PYTHONHASHSEED`` and insertion
@@ -153,15 +187,8 @@ class SetOrderRule(Rule):
     rule targets the syntactic forms where intent is unambiguous.
     """
 
-    code = "DET003"
-    title = "set iteration order"
-    summary = (
-        "set literal/call iterated into ordered output without sorted(); "
-        "wrap in sorted() or restructure to order-insensitive counting"
-    )
-
-    def __init__(self, ctx) -> None:
-        super().__init__(ctx)
+    def __init__(self, ctx, code) -> None:
+        super().__init__(ctx, code)
         self._neutral_depth = 0
 
     # -- what counts as an unordered expression ------------------------
@@ -233,21 +260,13 @@ class SetOrderRule(Rule):
             self.generic_visit(node)
 
 
-@register
-class BuiltinHashRule(Rule):
+class BuiltinHashRule(DetRule):
     """DET004 — builtin ``hash()``.
 
     ``hash(str | bytes)`` is salted per process by ``PYTHONHASHSEED``;
     two runs of the same study disagree.  Stable hashing goes through
     :func:`repro.llm.rng.derive_seed` (SHA-256) instead.
     """
-
-    code = "DET004"
-    title = "builtin hash()"
-    summary = (
-        "hash() on str/bytes is PYTHONHASHSEED-salted; use "
-        "derive_seed(...) for stable hashing"
-    )
 
     def visit_Call(self, node: ast.Call) -> None:
         if _is_builtin(self.ctx, node.func, "hash"):
@@ -259,8 +278,7 @@ class BuiltinHashRule(Rule):
         self.generic_visit(node)
 
 
-@register
-class FilesystemOrderRule(Rule):
+class FilesystemOrderRule(DetRule):
     """DET005 — filesystem enumeration without ``sorted()``.
 
     ``os.listdir`` / ``glob`` / ``Path.iterdir`` order is
@@ -268,20 +286,13 @@ class FilesystemOrderRule(Rule):
     that is not wrapped in ``sorted()`` is flagged.
     """
 
-    code = "DET005"
-    title = "fs enumeration order"
-    summary = (
-        "os.listdir/glob/Path.iterdir without sorted(); directory order "
-        "is filesystem-dependent"
-    )
-
     _MODULE_FUNCS = frozenset(
         {"os.listdir", "os.scandir", "glob.glob", "glob.iglob"}
     )
     _PATH_METHODS = frozenset({"iterdir", "glob", "rglob"})
 
-    def __init__(self, ctx) -> None:
-        super().__init__(ctx)
+    def __init__(self, ctx, code) -> None:
+        super().__init__(ctx, code)
         self._neutral_depth = 0
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -309,8 +320,7 @@ class FilesystemOrderRule(Rule):
             self.generic_visit(node)
 
 
-@register
-class EnvironReadRule(Rule):
+class EnvironReadRule(DetRule):
     """DET006 — environment reads outside the config boundary.
 
     Ambient environment reads scattered through library code make a
@@ -318,13 +328,6 @@ class EnvironReadRule(Rule):
     environment access funnels through :mod:`repro.core.config` (which
     turns it into explicit, logged configuration).
     """
-
-    code = "DET006"
-    title = "ambient environ read"
-    summary = (
-        "os.environ/os.getenv outside repro.core.config; thread the value "
-        "through StudyConfig"
-    )
     exempt_modules = ("repro.core.config",)
 
     _TARGETS = frozenset({"os.environ", "os.environb", "os.getenv"})
@@ -346,3 +349,62 @@ class EnvironReadRule(Rule):
                 "ambient environment read; route it through repro.core.config "
                 "so the study config stays the single source of truth",
             )
+
+
+RULES = (
+    Rule(
+        "DET001",
+        "ad-hoc RNG",
+        "random.* call or random.Random(...) not seeded via derive_seed; "
+        "use repro.llm.rng.derive_rng/derive_seed",
+        GlobalRandomRule,
+    ),
+    Rule(
+        "DET002",
+        "wall clock",
+        "time.time/monotonic or datetime.now/utcnow/today in library code; "
+        "thread the StudyClock/config date instead",
+        WallClockRule,
+    ),
+    Rule(
+        "DET003",
+        "set iteration order",
+        "set literal/call iterated into ordered output without sorted(); "
+        "wrap in sorted() or restructure to order-insensitive counting",
+        SetOrderRule,
+    ),
+    Rule(
+        "DET004",
+        "builtin hash()",
+        "hash() on str/bytes is PYTHONHASHSEED-salted; use "
+        "derive_seed(...) for stable hashing",
+        BuiltinHashRule,
+    ),
+    Rule(
+        "DET005",
+        "fs enumeration order",
+        "os.listdir/glob/Path.iterdir without sorted(); directory order "
+        "is filesystem-dependent",
+        FilesystemOrderRule,
+    ),
+    Rule(
+        "DET006",
+        "ambient environ read",
+        "os.environ/os.getenv outside repro.core.config; thread the value "
+        "through StudyConfig",
+        EnvironReadRule,
+    ),
+)
+
+
+def run(index: ProjectIndex) -> tuple[list[Finding], None]:
+    """Every DET finding over every indexed module (no graph)."""
+    findings: list[Finding] = []
+    for minfo in index.modules.values():
+        for rule in RULES:
+            if in_modules(minfo.module, rule.check.exempt_modules):
+                continue
+            visitor = rule.check(minfo.ctx, rule.code)
+            visitor.visit(minfo.tree)
+            findings.extend(visitor.findings)
+    return findings, None

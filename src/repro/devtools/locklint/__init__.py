@@ -3,8 +3,8 @@
 PR 6 gave the repo a serving tier: one process, a thread pool, and a
 dozen lock sites shared across the cache, single-flight, resilience and
 stats layers.  locklint machine-checks the locking discipline that
-makes the tier hang-free.  It reuses conclint's project-wide symbol
-table, discovers every **lock site** (a ``threading`` primitive — or
+makes the tier hang-free.  Over the project index it discovers every
+**lock site** (a ``threading`` primitive — or
 its :func:`repro.lockorder.witness_lock` wrapper — assigned in an
 ``__init__``, named ``Class._attr``), computes the set of sites held at
 every call edge, and enforces:
@@ -29,39 +29,12 @@ the runtime witness (:mod:`repro.lockorder`, ``REPRO_LOCK_WITNESS=1``)
 covers the dynamic remainder.
 
 Waive a single site with ``# locklint: ignore[LOCK002] -- reason``;
-the ``.locklint-baseline.json`` baseline ships **empty** — src/repro
-carries no grandfathered lock debt.  Run via ``python -m repro
-locklint``; ``--dump-lockgraph`` emits the deterministic site/edge/
-hierarchy JSON the analysis ran against.  The findings/pragma/baseline/
-reporter machinery lives in :mod:`repro.devtools.common`, shared with
-detlint and conclint.
+``.lint-baseline.json`` holds **no** LOCK entries — src/repro carries no
+grandfathered lock debt.  Run via ``python -m repro lint``; ``--dump
+lockgraph`` emits the deterministic site/edge/hierarchy JSON the
+analysis ran against.
 """
 
-from repro.devtools.common.findings import Finding
-from repro.devtools.locklint.lockgraph import (
-    FunctionSummary,
-    LockGraph,
-    build_lockgraph,
-)
-from repro.devtools.locklint.rules import lock_rule_table, run_rules
-from repro.devtools.locklint.runner import (
-    EXEMPT_MODULES,
-    LockAnalysis,
-    analyze_paths,
-)
-from repro.devtools.locklint.sites import LockSite, SiteTable, build_sites
+from repro.devtools.locklint.rules import RULES, run
 
-__all__ = [
-    "EXEMPT_MODULES",
-    "Finding",
-    "FunctionSummary",
-    "LockAnalysis",
-    "LockGraph",
-    "LockSite",
-    "SiteTable",
-    "analyze_paths",
-    "build_lockgraph",
-    "build_sites",
-    "lock_rule_table",
-    "run_rules",
-]
+__all__ = ["RULES", "run"]

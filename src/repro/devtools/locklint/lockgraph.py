@@ -22,7 +22,7 @@ The analysis runs in two layers:
    (:data:`repro.lockorder.CANONICAL_HIERARCHY`) must agree with.
 
 Receiver resolution is strictly typed (see
-:mod:`repro.devtools.locklint.sites`): an unknown receiver contributes
+:mod:`repro.devtools.common.index`): an unknown receiver contributes
 no edges and no blocking ops.  Missing an edge is the price of never
 inventing one — the runtime witness exists to catch what static
 under-approximation misses.
@@ -34,17 +34,14 @@ import ast
 import json
 from dataclasses import dataclass, field
 
-from repro.devtools.conclint.symbols import (
+from repro.devtools.common.context import in_modules
+from repro.devtools.common.index import (
     FunctionInfo,
     ModuleInfo,
     ProjectIndex,
-    iter_own_nodes,
-)
-from repro.devtools.locklint.sites import (
-    LockSite,
-    SiteTable,
     resolve_annotation,
 )
+from repro.devtools.locklint.sites import EXEMPT_MODULES, LockSite, SiteTable
 
 __all__ = ["FunctionSummary", "LockGraph", "build_lockgraph"]
 
@@ -161,7 +158,7 @@ class _Resolver:
         if isinstance(expr, ast.Attribute):
             base = self.type_of(expr.value)
             if base is not None and base in self.index.classes:
-                return self.table.attr_type(self.index, base, expr.attr)
+                return self.index.attr_type(base, expr.attr)
             return None
         if isinstance(expr, ast.Call):
             resolved = self.minfo.ctx.resolve(expr.func)
@@ -178,7 +175,7 @@ class _Resolver:
         if isinstance(expr, ast.Attribute):
             base = self.type_of(expr.value)
             if base is not None and base in self.index.classes:
-                return self.table.attr_site(self.index, base, expr.attr)
+                return self.index.inherited(base, expr.attr, self.table.attr_sites)
             return None
         if isinstance(expr, ast.Name):
             return self.table.local_sites.get((self.fn.qualname, expr.id))
@@ -188,56 +185,15 @@ class _Resolver:
         """Project functions a call may dispatch to — typed only, no
         name fallback (an unknown receiver yields nothing)."""
         if isinstance(func, ast.Name):
-            if func.id in self.fn.nested:
-                return [self.fn.nested[func.id]]
-            parent = (
-                self.index.functions.get(self.fn.parent)
-                if self.fn.parent
-                else None
-            )
-            while parent is not None:
-                if func.id in parent.nested:
-                    return [parent.nested[func.id]]
-                parent = (
-                    self.index.functions.get(parent.parent)
-                    if parent.parent
-                    else None
-                )
-            if func.id in self.minfo.functions:
-                return [self.minfo.functions[func.id]]
-            if func.id in self.minfo.classes:
-                return self._class_init(self.minfo.classes[func.id])
-            imported = self.minfo.ctx.imports.get(func.id)
-            if imported is not None:
-                return self._dotted(imported)
-            return []
+            return self.index.name_targets(func.id, self.fn, self.minfo)
         if not isinstance(func, ast.Attribute):
             return []
         receiver_type = self.type_of(func.value)
         if receiver_type is not None and receiver_type in self.index.classes:
-            targets = []
-            for member in self.index.class_family(receiver_type):
-                method = self.index.classes[member].methods.get(func.attr)
-                if method is not None:
-                    targets.append(method)
-            return targets
+            return self.index.dispatch(receiver_type, func.attr)
         resolved = self.minfo.ctx.resolve(func)
         if resolved is not None:
-            return self._dotted(resolved)
-        return []
-
-    def _dotted(self, dotted: str) -> list[str]:
-        if dotted in self.index.functions:
-            return [dotted]
-        if dotted in self.index.classes:
-            return self._class_init(dotted)
-        return []
-
-    def _class_init(self, class_qualname: str) -> list[str]:
-        for candidate in [class_qualname, *self.index.ancestors(class_qualname)]:
-            info = self.index.classes.get(candidate)
-            if info is not None and "__init__" in info.methods:
-                return [info.methods["__init__"]]
+            return self.index.dotted_targets(resolved)
         return []
 
     def blocking_desc(self, call: ast.Call) -> str | None:
@@ -680,19 +636,12 @@ class LockGraph:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def build_lockgraph(
-    index: ProjectIndex,
-    table: SiteTable,
-    exempt_modules: tuple[str, ...] = (),
-) -> LockGraph:
+def build_lockgraph(index: ProjectIndex, table: SiteTable) -> LockGraph:
     """Summarize every (non-exempt) function and close the graph."""
     graph = LockGraph(index, table)
     for qualname in sorted(index.functions):
         fn = index.functions[qualname]
-        if any(
-            fn.module == prefix or fn.module.startswith(prefix + ".")
-            for prefix in exempt_modules
-        ):
+        if in_modules(fn.module, EXEMPT_MODULES):
             continue
         minfo = index.modules[fn.module]
         graph.summaries[qualname] = summarize_function(fn, minfo, index, table)

@@ -8,84 +8,31 @@ source location that best explains each hazard.
 
 from __future__ import annotations
 
-from repro.devtools.common.findings import Finding
-from repro.devtools.locklint.lockgraph import LockGraph, acquire_guarded
-
-__all__ = ["RULES", "lock_rule_table", "run_rules"]
-
-RULES = (
-    (
-        "LOCK001",
-        "lock-order cycle",
-        "two lock sites are acquired in both orders on different paths "
-        "(deadlock on an adversarial schedule)",
-    ),
-    (
-        "LOCK002",
-        "blocking call under lock",
-        "a blocking operation (Event.wait, Future.result, Queue.get/put, "
-        "sleep, subprocess/file I/O, Semaphore.acquire) is reachable "
-        "while a lock is held",
-    ),
-    (
-        "LOCK003",
-        "re-entrant acquisition",
-        "a non-reentrant lock site can be re-acquired while already held "
-        "(self-deadlock)",
-    ),
-    (
-        "LOCK004",
-        "unbalanced acquire",
-        "a bare .acquire() without a guaranteed .release() on exception "
-        "paths (use `with`, or try/finally)",
-    ),
-    (
-        "LOCK005",
-        "wait outside predicate loop",
-        "Condition.wait not wrapped in a `while predicate:` loop "
-        "(spurious wakeups break the invariant)",
-    ),
+from repro.devtools.common.findings import Finding, Rule
+from repro.devtools.common.index import ProjectIndex
+from repro.devtools.locklint.lockgraph import (
+    LockGraph,
+    acquire_guarded,
+    build_lockgraph,
 )
+from repro.devtools.locklint.sites import build_sites
+
+__all__ = ["RULES", "run"]
 
 
-def lock_rule_table() -> list[tuple[str, str, str]]:
-    return [(code, title, summary) for code, title, summary in RULES]
-
-
-def _finding(
-    graph: LockGraph, path: str, line: int, rule: str, message: str
-) -> Finding:
-    minfo = next(
-        (m for m in graph.index.modules.values() if m.path == path), None
-    )
-    snippet = minfo.ctx.snippet(line) if minfo is not None else ""
-    return Finding(
-        path=path,
-        line=line,
-        col=0,
-        rule=rule,
-        message=message,
-        snippet=snippet,
-        end_line=line,
-        stmt_line=line,
-    )
-
-
-def run_rules(graph: LockGraph) -> list[Finding]:
+def run(index: ProjectIndex) -> tuple[list[Finding], LockGraph]:
+    """Every LOCK finding, and the lock graph the rules ran against."""
+    graph = build_lockgraph(index, build_sites(index))
     findings: list[Finding] = []
-    findings.extend(_lock001(graph))
-    findings.extend(_lock002(graph))
-    findings.extend(_lock003(graph))
-    findings.extend(_lock004(graph))
-    findings.extend(_lock005(graph))
-    findings.sort()
-    return findings
+    for rule in RULES:
+        findings.extend(rule.check(graph, rule.code))
+    return findings, graph
 
 
 # ----------------------------------------------------------------------
 
 
-def _lock001(graph: LockGraph) -> list[Finding]:
+def _lock001(graph: LockGraph, code: str) -> list[Finding]:
     """Every unordered site pair acquired in both orders, once each."""
     findings = []
     reported: set[tuple[str, str]] = set()
@@ -101,11 +48,10 @@ def _lock001(graph: LockGraph) -> list[Finding]:
             f"{step.via} ({step.path}:{step.line})" for step in back
         )
         findings.append(
-            _finding(
-                graph,
+            graph.index.line_finding(
                 edge.path,
                 edge.line,
-                "LOCK001",
+                code,
                 f"lock-order cycle between {edge.outer} and {edge.inner}: "
                 f"this path acquires {edge.inner} while holding "
                 f"{edge.outer} [{edge.via}], but the reverse order also "
@@ -115,7 +61,7 @@ def _lock001(graph: LockGraph) -> list[Finding]:
     return findings
 
 
-def _lock002(graph: LockGraph) -> list[Finding]:
+def _lock002(graph: LockGraph, code: str) -> list[Finding]:
     findings = []
     for qualname in sorted(graph.summaries):
         summary = graph.summaries[qualname]
@@ -124,8 +70,8 @@ def _lock002(graph: LockGraph) -> list[Finding]:
             if not held:
                 continue
             findings.append(
-                _finding(
-                    graph, path, line, "LOCK002",
+                graph.index.line_finding(
+                    path, line, code,
                     f"blocking operation ({desc}) while holding "
                     f"{', '.join(held)}",
                 )
@@ -137,8 +83,8 @@ def _lock002(graph: LockGraph) -> list[Finding]:
                 blocked = graph.blocked_star.get(target, {})
                 for desc in sorted(blocked):
                     findings.append(
-                        _finding(
-                            graph, path, line, "LOCK002",
+                        graph.index.line_finding(
+                            path, line, code,
                             f"call to {target} can block ({desc}) while "
                             f"holding {', '.join(held)} "
                             f"[{blocked[desc]}]",
@@ -147,15 +93,15 @@ def _lock002(graph: LockGraph) -> list[Finding]:
     return findings
 
 
-def _lock003(graph: LockGraph) -> list[Finding]:
+def _lock003(graph: LockGraph, code: str) -> list[Finding]:
     findings = []
     for edge in graph.self_edges():
         site = graph.table.sites.get(edge.outer)
         if site is None or site.reentrant:
             continue
         findings.append(
-            _finding(
-                graph, edge.path, edge.line, "LOCK003",
+            graph.index.line_finding(
+                edge.path, edge.line, code,
                 f"re-entrant acquisition of non-reentrant site "
                 f"{site.name} (self-deadlock): {edge.via}",
             )
@@ -163,7 +109,7 @@ def _lock003(graph: LockGraph) -> list[Finding]:
     return findings
 
 
-def _lock004(graph: LockGraph) -> list[Finding]:
+def _lock004(graph: LockGraph, code: str) -> list[Finding]:
     findings = []
     for qualname in sorted(graph.summaries):
         summary = graph.summaries[qualname]
@@ -175,8 +121,8 @@ def _lock004(graph: LockGraph) -> list[Finding]:
             ):
                 continue
             findings.append(
-                _finding(
-                    graph, minfo.path, line, "LOCK004",
+                graph.index.line_finding(
+                    minfo.path, line, code,
                     f"bare {site_name}.acquire() without a guaranteed "
                     f"release on exception paths — use `with`, or "
                     f"try/finally (or release in an except handler for "
@@ -186,7 +132,7 @@ def _lock004(graph: LockGraph) -> list[Finding]:
     return findings
 
 
-def _lock005(graph: LockGraph) -> list[Finding]:
+def _lock005(graph: LockGraph, code: str) -> list[Finding]:
     findings = []
     for qualname in sorted(graph.summaries):
         summary = graph.summaries[qualname]
@@ -195,11 +141,51 @@ def _lock005(graph: LockGraph) -> list[Finding]:
             if in_loop:
                 continue
             findings.append(
-                _finding(
-                    graph, path, line, "LOCK005",
+                graph.index.line_finding(
+                    path, line, code,
                     f"{site_name}.wait() outside a `while predicate:` "
                     f"loop — spurious wakeups and stolen signals break "
                     f"the waited-for invariant",
                 )
             )
     return findings
+
+
+RULES = (
+    Rule(
+        "LOCK001",
+        "lock-order cycle",
+        "two lock sites are acquired in both orders on different paths "
+        "(deadlock on an adversarial schedule)",
+        _lock001,
+    ),
+    Rule(
+        "LOCK002",
+        "blocking call under lock",
+        "a blocking operation (Event.wait, Future.result, Queue.get/put, "
+        "sleep, subprocess/file I/O, Semaphore.acquire) is reachable "
+        "while a lock is held",
+        _lock002,
+    ),
+    Rule(
+        "LOCK003",
+        "re-entrant acquisition",
+        "a non-reentrant lock site can be re-acquired while already held "
+        "(self-deadlock)",
+        _lock003,
+    ),
+    Rule(
+        "LOCK004",
+        "unbalanced acquire",
+        "a bare .acquire() without a guaranteed .release() on exception "
+        "paths (use `with`, or try/finally)",
+        _lock004,
+    ),
+    Rule(
+        "LOCK005",
+        "wait outside predicate loop",
+        "Condition.wait not wrapped in a `while predicate:` loop "
+        "(spurious wakeups break the invariant)",
+        _lock005,
+    ),
+)

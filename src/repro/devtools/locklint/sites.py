@@ -9,16 +9,19 @@ the analysis can name:
 * a *local site* — ``admission = threading.BoundedSemaphore(n)`` bound
   to a function local, named ``module.func.name``.
 
-Alongside the sites, this module builds the **type tables** the rest of
-locklint resolves receivers through: per-class ``attr -> type`` (from
-``self.x = ClassName()``, annotated ``self.x: T`` assignments with
-``T | None``/``Optional[T]`` unwrapped, and annotated ``__init__``
-parameters stored on ``self``) and per-function ``local -> type``.
-Typed resolution is deliberately *under*-approximate — an unknown
-receiver contributes nothing.  conclint's name-based CHA fallback would
-be poison here: ``self._cache.get(...)`` on a plain dict must not
-"dispatch" to ``BoundedCache.get`` and conjure a lock acquisition that
-never happens.
+Receivers resolve through the project index's strict typing
+(:meth:`~repro.devtools.common.index.ProjectIndex.attr_type`): an
+unknown receiver contributes nothing.  conclint's name-based CHA
+fallback would be poison here: ``self._cache.get(...)`` on a plain dict
+must not "dispatch" to ``BoundedCache.get`` and conjure a lock
+acquisition that never happens.
+
+``repro.lockorder`` — the runtime witness — is exempt by construction:
+it *implements* locks (``OrderedLock`` wraps acquire/release across
+method boundaries), so it cannot satisfy the caller-side discipline it
+exists to enforce, exactly as ``repro.core.config`` is exempt from
+detlint's environ rule.  Its sites are not discovered and its functions
+are not summarized.
 """
 
 from __future__ import annotations
@@ -26,14 +29,20 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.devtools.conclint.symbols import (
+from repro.devtools.common.context import in_modules
+from repro.devtools.common.index import (
     FunctionInfo,
     ModuleInfo,
     ProjectIndex,
+    ctor_of,
     iter_own_nodes,
+    self_attr,
 )
 
-__all__ = ["LockSite", "SiteTable", "build_sites"]
+__all__ = ["EXEMPT_MODULES", "LockSite", "SiteTable", "build_sites"]
+
+#: Module prefixes the lock-discipline rules do not apply to.
+EXEMPT_MODULES = ("repro.lockorder",)
 
 #: Lock-ish constructors -> (kind, reentrant).  Event is *not* a lock
 #: site — it is tracked as a typed attribute for LOCK002's blocking-call
@@ -90,114 +99,17 @@ class LockSite:
 
 @dataclass
 class SiteTable:
-    """Every discovered site plus the receiver-typing tables."""
+    """Every discovered site, by name and by binding."""
 
     #: site name -> site.
     sites: dict[str, LockSite] = field(default_factory=dict)
-    #: (class qualname, attr) -> site.
-    attr_sites: dict[tuple[str, str], LockSite] = field(default_factory=dict)
+    #: class qualname -> attr -> site.
+    attr_sites: dict[str, dict[str, LockSite]] = field(default_factory=dict)
     #: (function qualname, local name) -> site.
     local_sites: dict[tuple[str, str], LockSite] = field(default_factory=dict)
-    #: class qualname -> attr name -> type (project class qualname or a
-    #: dotted external name like ``threading.Event``).
-    attr_types: dict[str, dict[str, str]] = field(default_factory=dict)
     #: witness sites whose declared string disagrees with the computed
     #: ``Class._attr`` name: (declared, computed, path, line).
     mismatched: list[tuple[str, str, str, int]] = field(default_factory=list)
-
-    def attr_site(
-        self, index: ProjectIndex, cls: str, attr: str
-    ) -> LockSite | None:
-        """The site ``self.<attr>`` names in class ``cls``, honouring
-        inheritance (a subclass method locks its base's site)."""
-        for candidate in [cls, *index.ancestors(cls)]:
-            site = self.attr_sites.get((candidate, attr))
-            if site is not None:
-                return site
-        return None
-
-    def attr_type(self, index: ProjectIndex, cls: str, attr: str) -> str | None:
-        for candidate in [cls, *index.ancestors(cls)]:
-            typed = self.attr_types.get(candidate, {}).get(attr)
-            if typed is not None:
-                return typed
-        return None
-
-
-def resolve_annotation(
-    node: ast.expr | None, minfo: ModuleInfo, index: ProjectIndex
-) -> str | None:
-    """A type annotation's dotted name, unwrapping ``T | None`` and
-    ``Optional[T]``; ``None`` when the annotation names no single type."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            node = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return None
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-        left = resolve_annotation(node.left, minfo, index)
-        if left is not None:
-            return left
-        return resolve_annotation(node.right, minfo, index)
-    if isinstance(node, ast.Subscript):
-        base = resolve_annotation(node.value, minfo, index)
-        if base in ("typing.Optional", "Optional"):
-            return resolve_annotation(node.slice, minfo, index)
-        return None
-    if isinstance(node, ast.Name):
-        if node.id == "None":
-            return None
-        local = minfo.classes.get(node.id)
-        if local is not None:
-            return local
-        return minfo.ctx.imports.get(node.id, node.id)
-    if isinstance(node, ast.Attribute):
-        return minfo.ctx.resolve(node)
-    if isinstance(node, ast.Constant) and node.value is None:
-        return None
-    return None
-
-
-def _ctor_of(call: ast.Call, minfo: ModuleInfo) -> str | None:
-    """The canonical dotted constructor a call invokes, best effort."""
-    resolved = minfo.ctx.resolve(call.func)
-    if resolved is not None:
-        return resolved
-    if isinstance(call.func, ast.Name):
-        local_cls = minfo.classes.get(call.func.id)
-        if local_cls is not None:
-            return local_cls
-        return call.func.id
-    return None
-
-
-def _value_type(
-    value: ast.expr | None, minfo: ModuleInfo, index: ProjectIndex
-) -> str | None:
-    """The type an assignment's right-hand side constructs, if evident."""
-    if isinstance(value, (ast.Dict, ast.DictComp)):
-        return "dict"
-    if isinstance(value, (ast.List, ast.ListComp)):
-        return "list"
-    if isinstance(value, (ast.Set, ast.SetComp)):
-        return "set"
-    if isinstance(value, ast.Call):
-        ctor = _ctor_of(value, minfo)
-        if ctor is not None and (ctor in index.classes or "." in ctor):
-            return ctor
-    return None
-
-
-def _self_attr(target: ast.expr) -> str | None:
-    if (
-        isinstance(target, ast.Attribute)
-        and isinstance(target.value, ast.Name)
-        and target.value.id == "self"
-    ):
-        return target.attr
-    return None
 
 
 def _witness_site_name(call: ast.Call) -> str | None:
@@ -209,75 +121,47 @@ def _witness_site_name(call: ast.Call) -> str | None:
 
 
 def build_sites(index: ProjectIndex) -> SiteTable:
-    """Discover every lock site and type table across the project."""
+    """Discover every lock site outside :data:`EXEMPT_MODULES`."""
     table = SiteTable()
     for class_qualname in sorted(index.classes):
-        _scan_class(index, table, class_qualname)
+        if not in_modules(index.classes[class_qualname].module, EXEMPT_MODULES):
+            _scan_class(index, table, class_qualname)
     for fn_qualname in sorted(index.functions):
-        _scan_locals(index, table, index.functions[fn_qualname])
+        fn = index.functions[fn_qualname]
+        if not in_modules(fn.module, EXEMPT_MODULES):
+            _scan_locals(index, table, fn)
     return table
 
 
 def _scan_class(
     index: ProjectIndex, table: SiteTable, class_qualname: str
 ) -> None:
+    """Attribute sites: lock constructors assigned to ``self`` in
+    ``__init__``."""
     cinfo = index.classes[class_qualname]
-    minfo = index.modules[cinfo.module]
-    types = table.attr_types.setdefault(class_qualname, {})
-
-    # Class-level annotations (``clock: SimClock``) type attributes too.
-    for stmt in cinfo.node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            typed = resolve_annotation(stmt.annotation, minfo, index)
-            if typed is not None:
-                types.setdefault(stmt.target.id, typed)
-
     init_qualname = cinfo.methods.get("__init__")
     init = index.functions.get(init_qualname) if init_qualname else None
     if init is None:
         return
-
-    #: Annotated __init__ parameters, so ``self._clock = clock`` below
-    #: inherits the parameter's declared type.
-    param_types: dict[str, str] = {}
-    args = init.node.args
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        typed = resolve_annotation(arg.annotation, minfo, index)
-        if typed is not None:
-            param_types[arg.arg] = typed
-
+    minfo = index.modules[cinfo.module]
     for node in iter_own_nodes(init.node):
         if isinstance(node, ast.AnnAssign):
-            attr = _self_attr(node.target)
-            if attr is not None:
-                typed = resolve_annotation(node.annotation, minfo, index)
-                if typed is not None:
-                    types.setdefault(attr, typed)
             targets: list[ast.expr] = [node.target]
-            value = node.value
         elif isinstance(node, ast.Assign):
             targets = node.targets
-            value = node.value
         else:
             continue
         for target in targets:
-            attr = _self_attr(target)
+            attr = self_attr(target)
             if attr is None:
                 continue
             site = _site_from_value(
-                value, minfo, owner=class_qualname, binding=attr,
+                node.value, minfo, owner=class_qualname, binding=attr,
                 name=f"{cinfo.name}.{attr}", table=table,
             )
             if site is not None:
                 table.sites[site.name] = site
-                table.attr_sites[(class_qualname, attr)] = site
-                continue
-            if isinstance(value, ast.Name) and value.id in param_types:
-                types.setdefault(attr, param_types[value.id])
-                continue
-            typed = _value_type(value, minfo, index)
-            if typed is not None:
-                types.setdefault(attr, typed)
+                table.attr_sites.setdefault(class_qualname, {})[attr] = site
 
 
 def _site_from_value(
@@ -290,7 +174,7 @@ def _site_from_value(
 ) -> LockSite | None:
     if not isinstance(value, ast.Call):
         return None
-    ctor = _ctor_of(value, minfo)
+    ctor = ctor_of(value, minfo)
     if ctor in LOCK_CTORS:
         kind, reentrant = LOCK_CTORS[ctor]
     elif ctor in WITNESS_CTORS or (
@@ -323,7 +207,7 @@ def _scan_locals(
     for node in iter_own_nodes(fn.node):
         if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
             continue
-        ctor = _ctor_of(node.value, minfo)
+        ctor = ctor_of(node.value, minfo)
         if ctor not in LOCK_CTORS:
             continue
         kind, reentrant = LOCK_CTORS[ctor]

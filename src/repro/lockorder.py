@@ -40,7 +40,7 @@ __all__ = [
 #: The canonical single-order hierarchy over every named lock site in
 #: ``src/repro`` (outermost first).  A thread holding site ``A`` may only
 #: acquire sites strictly *later* in this tuple.  This is exactly the
-#: order ``python -m repro locklint --dump-lockgraph`` emits (a
+#: order ``python -m repro lint --dump lockgraph`` emits (a
 #: topological sort of the static acquired-while-held graph with
 #: alphabetical tie-breaking — the one real constraint today is
 #: ``CircuitBreaker._lock`` before ``SimClock._lock``); a meta-test

@@ -1,21 +1,14 @@
-"""cachelint baseline, CLI, cache-graph dump and registry behaviour.
-
-Also home of the SARIF round-trip test (the renderer is shared by all
-four analyzers through :mod:`repro.devtools.common.sarif`, so one
-round-trip against the JSON reporter pins the mapping for everyone).
-"""
+"""Baseline, ``python -m repro lint`` and ``--dump cachegraph``
+behaviour on CACHE findings, and the family table."""
 
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.__main__ import main
-from repro.devtools.cachelint import analyze_paths, cache_rule_table
+from repro.devtools.cachelint import RULES
 from repro.devtools.common.baseline import write_baseline
-from repro.devtools.common.cli import TOOL_COMMANDS
-from repro.devtools.common.reporters import render_json
-from repro.devtools.common.sarif import render_sarif
+from repro.devtools.common.pragmas import NAMESPACES
+from repro.devtools.lint import FAMILIES, analyze
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures" / "cachelint"
@@ -60,11 +53,11 @@ class TestBaseline:
         module = write_bad_module(tmp_path)
         baseline = tmp_path / "baseline.json"
 
-        before = analyze_paths([module], baseline=baseline)
+        before = analyze([module], baseline=baseline)
         assert len(before.blocking) == 1
 
         write_baseline(before.findings, baseline)
-        after = analyze_paths([module], baseline=baseline)
+        after = analyze([module], baseline=baseline)
         assert after.exit_code == 0
         assert len(after.baselined) == 1
         assert after.blocking == []
@@ -73,17 +66,17 @@ class TestBaseline:
 class TestCli:
     def test_fixture_fails_with_text_report(self, capsys):
         code = main(
-            ["cachelint", str(FIXTURES / "cache002_unkeyed.py"), "--no-baseline"]
+            ["lint", str(FIXTURES / "cache002_unkeyed.py"), "--no-baseline"]
         )
         assert code == 1
         out = capsys.readouterr().out
         assert "CACHE002" in out
-        assert "cachelint:" in out
+        assert "lint:" in out
 
     def test_json_format(self, capsys):
         code = main(
             [
-                "cachelint", str(FIXTURES / "cache005_contract.py"),
+                "lint", str(FIXTURES / "cache005_contract.py"),
                 "--no-baseline", "--format", "json",
             ]
         )
@@ -96,35 +89,35 @@ class TestCli:
         module = write_bad_module(tmp_path)
         baseline = tmp_path / "baseline.json"
         assert main(
-            ["cachelint", str(module), "--baseline", str(baseline),
+            ["lint", str(module), "--baseline", str(baseline),
              "--update-baseline"]
         ) == 0
         assert main(
-            ["cachelint", str(module), "--baseline", str(baseline)]
+            ["lint", str(module), "--baseline", str(baseline)]
         ) == 0
         assert main(
-            ["cachelint", str(module), "--baseline", str(baseline),
+            ["lint", str(module), "--baseline", str(baseline),
              "--no-baseline"]
         ) == 1
         entries = json.loads(baseline.read_text())["entries"]
         assert entries and all(e["reason"] for e in entries)
 
     def test_list_rules(self, capsys):
-        assert main(["cachelint", "--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code, __, __ in cache_rule_table():
-            assert code in out
+        for rule in RULES:
+            assert rule.code in out
 
-    def test_dump_cachegraph_is_deterministic_json(self, capsys):
+    def test_dump_cachegraph_is_deterministic_json(self, capsys, repo_report):
+        # Two independent passes over src/repro: the session's shared
+        # one and this CLI run.
         args = [
-            "cachelint", str(REPO_ROOT / "src" / "repro"),
-            "--no-baseline", "--dump-cachegraph",
+            "lint", str(REPO_ROOT / "src" / "repro"),
+            "--no-baseline", "--dump", "cachegraph",
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert first == second
+        assert first == repo_report.graphs["cachegraph"].to_json() + "\n"
         payload = json.loads(first)
         assert set(payload) == {
             "sites", "epoch_bearing", "epoch_coupled", "primitive_classes", "ops",
@@ -144,97 +137,10 @@ class TestCli:
 
 
 class TestToolRegistry:
-    """Satellite: all four analyzers route through the one registry."""
+    """All four analyzers run as rule families of the one pass."""
 
     def test_registry_lists_all_four_analyzers(self):
-        assert [c.command for c in TOOL_COMMANDS] == [
-            "lint", "conclint", "locklint", "cachelint",
-        ]
-
-    @pytest.mark.parametrize("command", [c.command for c in TOOL_COMMANDS])
-    def test_every_registered_tool_dispatches(self, command, capsys):
-        assert main([command, "--list-rules"]) == 0
-        assert capsys.readouterr().out.strip()
-
-    def test_loaded_cli_tool_names_match_commands(self):
-        # The detlint subcommand is spelled "lint"; the rest match 1:1.
-        names = {c.command: c.load().tool for c in TOOL_COMMANDS}
-        assert names == {
-            "lint": "detlint",
-            "conclint": "conclint",
-            "locklint": "locklint",
-            "cachelint": "cachelint",
-        }
-
-
-class TestSarifReporter:
-    """Satellite: the shared SARIF renderer round-trips against the JSON
-    reporter — same findings, same rule ids, lines, paths and levels."""
-
-    def _report(self):
-        return analyze_paths([FIXTURES / "pragma_waivers.py"], baseline=None)
-
-    def test_round_trip_against_json_reporter(self):
-        report = self._report()
-        plain = json.loads(render_json(report))
-        sarif = json.loads(render_sarif(report, tool="cachelint",
-                                        rules=cache_rule_table()))
-        (run,) = sarif["runs"]
-        results = run["results"]
-        assert len(results) == len(plain["findings"])
-        for result, finding in zip(results, plain["findings"]):
-            assert result["ruleId"] == finding["rule"]
-            assert result["message"]["text"] == finding["message"]
-            location = result["locations"][0]["physicalLocation"]
-            assert location["artifactLocation"]["uri"] == finding["path"]
-            assert location["region"]["startLine"] == finding["line"]
-            expected_level = "note" if finding["waived"] else "error"
-            assert result["level"] == expected_level
-
-    def test_waived_findings_carry_in_source_suppression(self):
-        report = self._report()
-        sarif = json.loads(render_sarif(report, tool="cachelint"))
-        results = sarif["runs"][0]["results"]
-        suppressed = [r for r in results if "suppressions" in r]
-        assert len(suppressed) == 1
-        assert suppressed[0]["suppressions"][0]["kind"] == "inSource"
-
-    def test_driver_rules_come_from_the_rule_table(self):
-        report = self._report()
-        sarif = json.loads(render_sarif(report, tool="cachelint",
-                                        rules=cache_rule_table()))
-        driver = sarif["runs"][0]["tool"]["driver"]
-        assert driver["name"] == "cachelint"
-        assert [r["id"] for r in driver["rules"]] == [
-            code for code, __, __ in cache_rule_table()
-        ]
-
-    def test_output_is_deterministic(self):
-        rendered = {
-            render_sarif(self._report(), tool="cachelint",
-                         rules=cache_rule_table())
-            for _ in range(3)
-        }
-        assert len(rendered) == 1
-        assert json.loads(next(iter(rendered)))["version"] == "2.1.0"
-
-    def test_cli_format_sarif_flag(self, capsys):
-        code = main(
-            ["cachelint", str(FIXTURES / "cache002_unkeyed.py"),
-             "--no-baseline", "--format", "sarif"]
-        )
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "2.1.0"
-        assert payload["runs"][0]["results"][0]["ruleId"] == "CACHE002"
-
-    @pytest.mark.parametrize("command", [c.command for c in TOOL_COMMANDS])
-    def test_every_analyzer_speaks_sarif(self, command, capsys):
-        # The flag exists and renders valid SARIF for all four tools.
-        code = main([command, "--no-baseline", "--format", "sarif",
-                     str(REPO_ROOT / "src" / "repro" / "core" / "config.py")])
-        out = capsys.readouterr().out
-        payload = json.loads(out)
-        assert payload["version"] == "2.1.0"
-        assert isinstance(payload["runs"][0]["results"], list)
-        assert code in (0, 1)
+        namespaces = [family.namespace for family in FAMILIES]
+        assert namespaces == ["detlint", "conclint", "locklint", "cachelint"]
+        # The pragma parser reads exactly the families' namespaces.
+        assert namespaces == list(NAMESPACES)

@@ -14,15 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.cachelint import (
-    analyze_paths,
-    build_cache_sites,
-    cache_rule_table,
-)
-from repro.devtools.cachelint.rules import _clear_walk, _reachable_classes
-from repro.devtools.cachelint.runner import EXEMPT_MODULES
+from repro.devtools.cachelint import RULES
 from repro.devtools.cachelint.cachegraph import build_cachegraph
-from repro.devtools.conclint.symbols import ProjectIndex
+from repro.devtools.cachelint.rules import _clear_walk, _reachable_classes
+from repro.devtools.cachelint.sites import build_cache_sites
+from repro.devtools.common.index import ProjectIndex
+from repro.devtools.lint import analyze
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures" / "cachelint"
@@ -43,7 +40,13 @@ def expected_findings(source: str) -> set[tuple[int, str]]:
 def analyze_fixture(name: str):
     path = FIXTURES / name
     source = path.read_text(encoding="utf-8")
-    return source, analyze_paths([path]).findings
+    findings = analyze([path]).findings
+    return source, [f for f in findings if f.rule.startswith("CACHE")]
+
+
+def fixture_graph(name: str):
+    index = ProjectIndex.build([FIXTURES / name])
+    return index, build_cachegraph(index, build_cache_sites(index))
 
 
 RULE_FIXTURES = [
@@ -86,10 +89,9 @@ class TestStalenessFixture:
         assert "epoch" in finding.message
 
     def test_fixture_sites_and_epoch_tables_resolve(self):
-        index = ProjectIndex.build(
-            [FIXTURES / "staleness_live.py"], tool="cachelint"
+        table = build_cache_sites(
+            ProjectIndex.build([FIXTURES / "staleness_live.py"])
         )
-        table = build_cache_sites(index)
         assert "SummaryBoard._summary_memo" in table.sites
         bearing = [c for c in table.epoch_bearing if c.endswith("TinyTable")]
         assert bearing, "TinyTable must be epoch-bearing via its property"
@@ -103,10 +105,7 @@ class TestClearWalk:
     untyped edges, because a missed clear edge would invent findings."""
 
     def test_walk_reaches_sites_through_named_reset(self):
-        index = ProjectIndex.build(
-            [FIXTURES / "cache001_unregistered.py"], tool="cachelint"
-        )
-        graph = build_cachegraph(index)
+        index, graph = fixture_graph("cache001_unregistered.py")
         (root,) = [
             info.methods["clear_caches"]
             for info in index.classes.values()
@@ -119,10 +118,7 @@ class TestClearWalk:
         assert "App._orphan_memo" not in cleared
 
     def test_reachability_crosses_typed_attrs(self):
-        index = ProjectIndex.build(
-            [FIXTURES / "cache001_unregistered.py"], tool="cachelint"
-        )
-        graph = build_cachegraph(index)
+        index, graph = fixture_graph("cache001_unregistered.py")
         (app,) = [c for c in index.classes if c.endswith(".App")]
         reached = {c.rsplit(".", 1)[-1] for c in _reachable_classes(graph, app)}
         assert {"App", "Registry", "SnipCache"} <= reached
@@ -142,42 +138,31 @@ class TestPragmas:
 class TestRepositoryIsClean:
     """The meta-tests: src/repro holds its own cache discipline."""
 
-    def test_src_repro_has_zero_nonbaselined_findings(self):
-        report = analyze_paths(
-            [REPO_ROOT / "src" / "repro"],
-            baseline=REPO_ROOT / ".cachelint-baseline.json",
-        )
-        assert report.files_checked > 50
-        offenders = [f"{f.location()} {f.rule}" for f in report.blocking]
+    def test_src_repro_has_zero_nonbaselined_findings(self, repo_report):
+        assert repo_report.files_checked > 50
+        offenders = [
+            f"{f.location()} {f.rule}"
+            for f in repo_report.blocking
+            if f.rule.startswith("CACHE")
+        ]
         assert offenders == []
 
     def test_checked_in_baseline_is_empty(self):
         # src/repro carries no grandfathered cache debt, by policy.
         data = json.loads(
-            (REPO_ROOT / ".cachelint-baseline.json").read_text(encoding="utf-8")
+            (REPO_ROOT / ".lint-baseline.json").read_text(encoding="utf-8")
         )
-        assert data["entries"] == []
+        assert [e for e in data["entries"] if e["rule"].startswith("CACHE")] == []
 
-    def test_discovered_sites_are_the_known_caches(self):
+    def test_discovered_sites_are_the_known_caches(self, repo_report):
         # The site inventory is pinned: a new memo in src/repro must
         # either register here (and with World.clear_caches()) or not
         # look like a cache at all.  And there is one memo primitive:
         # every site holds a BoundedCache (or a class built on one), so
-        # a hand-rolled dict or module-global memo fails here.
-        index = ProjectIndex.build(
-            sorted((REPO_ROOT / "src" / "repro").rglob("*.py")),
-            tool="cachelint",
-        )
-        table = build_cache_sites(index)
-        witness_sites = {
-            name
-            for name, site in table.sites.items()
-            if any(
-                site.owner == mod or site.owner.startswith(mod + ".")
-                for mod in EXEMPT_MODULES
-            )
-        }
-        assert set(table.sites) - witness_sites == {
+        # a hand-rolled dict or module-global memo fails here.  The
+        # runtime witness's own store is exempt, so it is no site.
+        table = repo_report.graphs["cachegraph"].table
+        assert set(table.sites) == {
             "AnswerEngine._answer_cache",
             "SearchEngine._query_cache",
             "SearchEngine.snippet_cache",
@@ -194,7 +179,7 @@ class TestRepositoryIsClean:
         } == {}
 
     def test_all_five_rules_registered(self):
-        codes = [code for code, __, __ in cache_rule_table()]
+        codes = [rule.code for rule in RULES]
         assert codes == [f"CACHE00{i}" for i in range(1, 6)]
 
 
@@ -203,12 +188,9 @@ class TestWorldClearCompleteness:
     covered by ``World.clear_caches()`` — driven by cachelint's own
     discovery pass so the check extends to caches added later."""
 
-    def test_every_world_reachable_site_is_cleared(self):
-        index = ProjectIndex.build(
-            sorted((REPO_ROOT / "src" / "repro").rglob("*.py")),
-            tool="cachelint",
-        )
-        graph = build_cachegraph(index)
+    def test_every_world_reachable_site_is_cleared(self, repo_report):
+        graph = repo_report.graphs["cachegraph"]
+        index = graph.index
         (world,) = [
             cls
             for cls, info in index.classes.items()

@@ -7,7 +7,8 @@ class-family dispatch, the unresolved-receiver fallback, and the
 deterministic dump.
 """
 
-from repro.devtools.conclint import ProjectIndex, build_callgraph
+from repro.devtools.common.index import ProjectIndex
+from repro.devtools.conclint.callgraph import build_callgraph
 
 ENGINE_MODULE = """\
 from repro.engines.base import AnswerEngine

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.conclint import analyze_paths
+from repro.devtools.lint import analyze
 
 FIXTURES = Path(__file__).parent / "fixtures" / "conclint"
 
@@ -34,7 +34,8 @@ def expected_findings(source: str) -> set[tuple[int, str]]:
 def analyze_fixture(name: str):
     path = FIXTURES / name
     source = path.read_text(encoding="utf-8")
-    return source, analyze_paths([path]).findings
+    findings = analyze([path]).findings
+    return source, [f for f in findings if f.rule.startswith("CONC")]
 
 
 RULE_FIXTURES = [

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.detlint import lint_source
+from repro.devtools.lint import analyze
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -29,10 +29,14 @@ def expected_findings(source: str) -> set[tuple[int, str]]:
     return expected
 
 
+def det_findings(path: Path):
+    """The DET findings of one file (other families may fire too)."""
+    return [f for f in analyze([path]).findings if f.rule.startswith("DET")]
+
+
 def lint_fixture(name: str):
     path = FIXTURES / name
-    source = path.read_text(encoding="utf-8")
-    return source, lint_source(source, path)
+    return path.read_text(encoding="utf-8"), det_findings(path)
 
 
 RULE_FIXTURES = [
@@ -94,27 +98,32 @@ class TestPragmas:
         assert findings == []
 
 
+def write(path: Path, source: str) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source, encoding="utf-8")
+    return path
+
+
 class TestModuleExemptions:
     def test_rng_module_is_exempt_from_det001(self, tmp_path):
-        target = tmp_path / "repro" / "llm" / "rng.py"
-        target.parent.mkdir(parents=True)
         source = "import random\nrng = random.Random(0)\n"
-        assert lint_source(source, target) == []
+        target = write(tmp_path / "repro" / "llm" / "rng.py", source)
+        assert det_findings(target) == []
         # The same source anywhere else is a finding.
-        elsewhere = tmp_path / "repro" / "llm" / "other.py"
-        assert [f.rule for f in lint_source(source, elsewhere)] == ["DET001"]
+        elsewhere = write(tmp_path / "repro" / "llm" / "other.py", source)
+        assert [f.rule for f in det_findings(elsewhere)] == ["DET001"]
 
     def test_config_module_is_exempt_from_det006(self, tmp_path):
-        target = tmp_path / "repro" / "core" / "config.py"
-        target.parent.mkdir(parents=True)
         source = 'import os\nraw = os.environ.get("REPRO_WORKERS", "")\n'
-        assert lint_source(source, target) == []
-        elsewhere = tmp_path / "repro" / "core" / "runner.py"
-        assert [f.rule for f in lint_source(source, elsewhere)] == ["DET006"]
+        target = write(tmp_path / "repro" / "core" / "config.py", source)
+        assert det_findings(target) == []
+        elsewhere = write(tmp_path / "repro" / "core" / "runner.py", source)
+        assert [f.rule for f in det_findings(elsewhere)] == ["DET006"]
 
-    def test_unparseable_file_reports_det000(self):
-        findings = lint_source("def broken(:\n", "bad.py")
-        assert [f.rule for f in findings] == ["DET000"]
+    def test_unparseable_file_reports_lint000(self, tmp_path):
+        # One finding for the whole pass, not one per rule family.
+        findings = analyze([write(tmp_path / "bad.py", "def broken(:\n")]).findings
+        assert [f.rule for f in findings] == ["LINT000"]
         assert findings[0].blocking
 
 

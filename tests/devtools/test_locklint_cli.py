@@ -1,12 +1,13 @@
-"""locklint baseline, CLI and lock-graph dump behaviour."""
+"""Baseline, ``python -m repro lint`` and ``--dump lockgraph``
+behaviour on LOCK findings."""
 
 import json
 from pathlib import Path
 
 from repro.__main__ import main
-from repro.devtools.locklint import analyze_paths
-from repro.devtools.locklint.rules import lock_rule_table
 from repro.devtools.common.baseline import write_baseline
+from repro.devtools.lint import analyze
+from repro.devtools.locklint import RULES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures" / "locklint"
@@ -37,11 +38,11 @@ class TestBaseline:
         module = write_bad_module(tmp_path)
         baseline = tmp_path / "baseline.json"
 
-        before = analyze_paths([module], baseline=baseline)
+        before = analyze([module], baseline=baseline)
         assert len(before.blocking) == 1
 
         write_baseline(before.findings, baseline)
-        after = analyze_paths([module], baseline=baseline)
+        after = analyze([module], baseline=baseline)
         assert after.exit_code == 0
         assert len(after.baselined) == 1
         assert after.blocking == []
@@ -50,17 +51,17 @@ class TestBaseline:
 class TestCli:
     def test_fixture_fails_with_text_report(self, capsys):
         code = main(
-            ["locklint", str(FIXTURES / "lock001_inversion.py"), "--no-baseline"]
+            ["lint", str(FIXTURES / "lock001_inversion.py"), "--no-baseline"]
         )
         assert code == 1
         out = capsys.readouterr().out
         assert "LOCK001" in out
-        assert "locklint:" in out
+        assert "lint:" in out
 
     def test_json_format(self, capsys):
         code = main(
             [
-                "locklint", str(FIXTURES / "lock005_wait.py"),
+                "lint", str(FIXTURES / "lock005_wait.py"),
                 "--no-baseline", "--format", "json",
             ]
         )
@@ -73,35 +74,35 @@ class TestCli:
         module = write_bad_module(tmp_path)
         baseline = tmp_path / "baseline.json"
         assert main(
-            ["locklint", str(module), "--baseline", str(baseline),
+            ["lint", str(module), "--baseline", str(baseline),
              "--update-baseline"]
         ) == 0
         assert main(
-            ["locklint", str(module), "--baseline", str(baseline)]
+            ["lint", str(module), "--baseline", str(baseline)]
         ) == 0
         assert main(
-            ["locklint", str(module), "--baseline", str(baseline),
+            ["lint", str(module), "--baseline", str(baseline),
              "--no-baseline"]
         ) == 1
         entries = json.loads(baseline.read_text())["entries"]
         assert entries and all(e["reason"] for e in entries)
 
     def test_list_rules(self, capsys):
-        assert main(["locklint", "--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code, __, __ in lock_rule_table():
-            assert code in out
+        for rule in RULES:
+            assert rule.code in out
 
-    def test_dump_lockgraph_is_deterministic_json(self, capsys):
+    def test_dump_lockgraph_is_deterministic_json(self, capsys, repo_report):
+        # Two independent passes over src/repro: the session's shared
+        # one and this CLI run.
         args = [
-            "locklint", str(REPO_ROOT / "src" / "repro"),
-            "--no-baseline", "--dump-lockgraph",
+            "lint", str(REPO_ROOT / "src" / "repro"),
+            "--no-baseline", "--dump", "lockgraph",
         ]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert first == second
+        assert first == repo_report.graphs["lockgraph"].to_json() + "\n"
         payload = json.loads(first)
         assert set(payload) == {"sites", "edges", "hierarchy"}
         # The one real held-across edge in the serving/resilience stack:
@@ -115,8 +116,8 @@ class TestCli:
 
     def test_dump_on_fixture_shows_cycle_in_edges(self, capsys):
         assert main(
-            ["locklint", str(FIXTURES / "lock001_inversion.py"),
-             "--no-baseline", "--dump-lockgraph"]
+            ["lint", str(FIXTURES / "lock001_inversion.py"),
+             "--no-baseline", "--dump", "lockgraph"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         pairs = {(e["outer"], e["inner"]) for e in payload["edges"]}

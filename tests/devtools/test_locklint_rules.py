@@ -13,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.locklint import analyze_paths, build_sites, lock_rule_table
-from repro.devtools.conclint.symbols import ProjectIndex
+from repro.devtools.common.index import ProjectIndex
+from repro.devtools.lint import analyze
+from repro.devtools.locklint import RULES
+from repro.devtools.locklint.sites import build_sites
 from repro.lockorder import CANONICAL_HIERARCHY
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -36,7 +38,8 @@ def expected_findings(source: str) -> set[tuple[int, str]]:
 def analyze_fixture(name: str):
     path = FIXTURES / name
     source = path.read_text(encoding="utf-8")
-    return source, analyze_paths([path]).findings
+    findings = analyze([path]).findings
+    return source, [f for f in findings if f.rule.startswith("LOCK")]
 
 
 RULE_FIXTURES = [
@@ -83,10 +86,7 @@ class TestInversionFixture:
     def test_witness_site_names_resolve(self):
         # witness_lock("InvertedPair._first") must register the same
         # site a bare threading.Lock() would.
-        index = ProjectIndex.build(
-            [FIXTURES / "inversion_live.py"], tool="locklint"
-        )
-        table = build_sites(index)
+        table = build_sites(ProjectIndex.build([FIXTURES / "inversion_live.py"]))
         assert "InvertedPair._first" in table.sites
         assert "InvertedPair._second" in table.sites
         assert table.mismatched == []
@@ -108,13 +108,13 @@ class TestRepositoryIsClean:
     """The meta-tests: src/repro holds its own lock discipline, and the
     runtime witness agrees with the static analysis."""
 
-    def test_src_repro_has_zero_nonbaselined_findings(self):
-        report = analyze_paths(
-            [REPO_ROOT / "src" / "repro"],
-            baseline=REPO_ROOT / ".locklint-baseline.json",
-        )
-        assert report.files_checked > 50
-        offenders = [f"{f.location()} {f.rule}" for f in report.blocking]
+    def test_src_repro_has_zero_nonbaselined_findings(self, repo_report):
+        assert repo_report.files_checked > 50
+        offenders = [
+            f"{f.location()} {f.rule}"
+            for f in repo_report.blocking
+            if f.rule.startswith("LOCK")
+        ]
         assert offenders == []
 
     def test_checked_in_baseline_is_empty(self):
@@ -122,34 +122,30 @@ class TestRepositoryIsClean:
         import json
 
         data = json.loads(
-            (REPO_ROOT / ".locklint-baseline.json").read_text(encoding="utf-8")
+            (REPO_ROOT / ".lint-baseline.json").read_text(encoding="utf-8")
         )
-        assert data["entries"] == []
+        assert [e for e in data["entries"] if e["rule"].startswith("LOCK")] == []
 
-    def test_hierarchy_matches_runtime_witness(self):
+    def test_hierarchy_matches_runtime_witness(self, repo_report):
         # The order the witness enforces at runtime is exactly the
         # order locklint derives statically; drift here means one half
         # of the contract is lying.
-        report = analyze_paths([REPO_ROOT / "src" / "repro"], baseline=None)
-        assert report.graph.hierarchy() == list(CANONICAL_HIERARCHY)
+        graph = repo_report.graphs["lockgraph"]
+        assert graph.hierarchy() == list(CANONICAL_HIERARCHY)
 
-    def test_every_project_lock_site_is_witnessed(self):
+    def test_every_project_lock_site_is_witnessed(self, repo_report):
         # Every mutex attribute site in src/repro is built through
-        # witness_lock with its canonical name (no drifting strings).
-        index = ProjectIndex.build(
-            sorted((REPO_ROOT / "src" / "repro").rglob("*.py")),
-            tool="locklint",
-        )
-        table = build_sites(index)
+        # witness_lock with its canonical name (no drifting strings);
+        # repro.lockorder's own locks are not sites at all.
+        table = repo_report.graphs["lockgraph"].table
         assert table.mismatched == []
         mutex_attrs = {
             name
             for name, site in table.sites.items()
             if site.mutex and site.scope == "attr"
-            and not site.owner.startswith("repro.lockorder")
         }
         assert mutex_attrs == set(CANONICAL_HIERARCHY)
 
     def test_all_five_rules_registered(self):
-        codes = [code for code, __, __ in lock_rule_table()]
+        codes = [rule.code for rule in RULES]
         assert codes == [f"LOCK00{i}" for i in range(1, 6)]

@@ -67,14 +67,17 @@ study:
 	python tools/run_full_study.py results/full
 
 # The seven study artifacts at seeds 7 and 11 against the digests pinned
-# in perfbench/digests.json, then one cold serve drain per seed: one rep
-# each, exit 1 on any mismatch.  The study pins hold under Python 3.10
-# and 3.11 (3.12 moves five of them); the serve_cold pins hold on 3.12 too.
+# in perfbench/digests.json, then one cold and one hot serve drain per
+# seed: one rep each, exit 1 on any mismatch or broken serve invariant.
+# The study pins hold under Python 3.10 and 3.11 (3.12 moves five of
+# them); the serve pins hold on 3.12 too.
 study-digests:
 	python perfbench/run.py --workload study --seed 7 --seconds 1 --trace 0
 	python perfbench/run.py --workload study --seed 11 --seconds 1 --trace 0
 	python perfbench/run.py --workload serve_cold --seed 7 --seconds 1 --trace 0
 	python perfbench/run.py --workload serve_cold --seed 11 --seconds 1 --trace 0
+	python perfbench/run.py --workload serve_hot --seed 7 --seconds 1 --trace 0
+	python perfbench/run.py --workload serve_hot --seed 11 --seconds 1 --trace 0
 
 calibrate:
 	python tools/calibrate.py

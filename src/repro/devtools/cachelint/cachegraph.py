@@ -39,7 +39,6 @@ from repro.devtools.common.context import in_modules
 from repro.devtools.common.index import (
     FunctionInfo,
     ProjectIndex,
-    iter_own_nodes,
     resolve_annotation,
     self_attr,
 )
@@ -212,7 +211,7 @@ def key_has_epoch(key: ast.expr | None, summary: FunctionSummary) -> bool:
 def _local_binding(fn: FunctionInfo, name: str) -> ast.expr | None:
     """The value expression last assigned to a bare local, if any."""
     bound: ast.expr | None = None
-    for node in iter_own_nodes(fn.node):
+    for node in fn.own_nodes:
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name) and target.id == name:
@@ -319,7 +318,7 @@ class Resolver:
             if typed is not None:
                 return ("type", typed)
             # An un-annotated one-hop property: ``return self._x``.
-            for node in iter_own_nodes(fn.node):
+            for node in fn.own_nodes:
                 if isinstance(node, ast.Return) and isinstance(
                     node.value, ast.Attribute
                 ):
@@ -360,7 +359,7 @@ def _prepass(
             summary.local_types[arg.arg] = typed
 
     resolver = Resolver(index, table, fn, cls, summary)
-    for node in iter_own_nodes(fn.node):
+    for node in fn.own_nodes:
         if not isinstance(node, ast.Assign):
             continue
         value = node.value
@@ -421,7 +420,7 @@ def _extract_ops(
                 (line, target_cls, expr.attr, via)
             )
 
-    for node in iter_own_nodes(fn.node):
+    for node in fn.own_nodes:
         # Method-style ops: cache.put(k, v) / cache.get(k) / cache.clear().
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             method = node.func.attr

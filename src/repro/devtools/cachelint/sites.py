@@ -49,7 +49,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from repro.devtools.common.context import in_modules
-from repro.devtools.common.index import ProjectIndex, iter_own_nodes, self_attr
+from repro.devtools.common.index import ProjectIndex, self_attr
 
 __all__ = [
     "CACHE_ATTR_RE",
@@ -167,7 +167,7 @@ def _epoch_counter_attrs(index: ProjectIndex, cls_qualname: str) -> tuple[str, .
     if epoch_def is not None:
         bearing = True
         fn = index.functions[epoch_def]
-        for node in iter_own_nodes(fn.node):
+        for node in fn.own_nodes:
             if isinstance(node, ast.Return) and node.value is not None:
                 for sub in ast.walk(node.value):
                     attr = self_attr(sub) if isinstance(sub, ast.Attribute) else None
@@ -188,7 +188,7 @@ def _dict_attr_lines(
     if init is None:
         return {}
     found: dict[str, int] = {}
-    for node in iter_own_nodes(init.node):
+    for node in init.own_nodes:
         if isinstance(node, ast.AnnAssign):
             targets: list[ast.expr] = [node.target]
             value = node.value
@@ -334,7 +334,7 @@ def _at_init_line(
     init = index.functions.get(init_qualname) if init_qualname else None
     if init is None:
         return site
-    for node in iter_own_nodes(init.node):
+    for node in init.own_nodes:
         targets: list[ast.expr]
         if isinstance(node, ast.AnnAssign):
             targets = [node.target]

@@ -31,6 +31,7 @@ first.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -52,30 +53,12 @@ __all__ = [
     "ProjectIndex",
     "classify_value",
     "ctor_of",
-    "iter_own_nodes",
     "resolve_annotation",
     "self_attr",
 ]
 
 _T = TypeVar("_T")
 
-
-def iter_own_nodes(node: ast.AST) -> "list[ast.AST]":
-    """Every AST node belonging to ``node`` itself, in source order,
-    *excluding* the bodies of nested function/class definitions (which
-    are separate analysis units with their own qualified names).
-    Lambdas stay included: they have no name of their own, so their
-    bodies are attributed to the enclosing function.
-    """
-    collected: list[ast.AST] = []
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop(0)
-        collected.append(child)
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(child))
-    return collected
 
 #: Constructors whose product is shared *mutable* state when bound at
 #: module level.
@@ -156,6 +139,26 @@ class FunctionInfo:
     parent: str | None = None
     #: name -> qualname of functions defined directly inside this one.
     nested: dict[str, str] = field(default_factory=dict)
+
+    @cached_property
+    def own_nodes(self) -> tuple[ast.AST, ...]:
+        """Every AST node belonging to this function itself, breadth
+        first, *excluding* the bodies of nested function/class
+        definitions (which are separate analysis units with their own
+        qualified names).  Lambdas stay included: they have no name of
+        their own, so their bodies are attributed to the enclosing
+        function.  Walked once; every rule reads this tuple.
+        """
+        collected: list[ast.AST] = []
+        queue = deque(ast.iter_child_nodes(self.node))
+        while queue:
+            child = queue.popleft()
+            collected.append(child)
+            if not isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                queue.extend(ast.iter_child_nodes(child))
+        return tuple(collected)
 
 
 @dataclass
@@ -314,7 +317,7 @@ class ProjectIndex:
             info.functions[node.name] = qualname
         # Nested defs get their own entries: a closure submitted to a
         # pool is a worker entry point in its own right.
-        for child in iter_own_nodes(node):
+        for child in fn.own_nodes:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(info, child, prefix=qualname, parent=fn)
         return fn
@@ -581,7 +584,7 @@ def _scan_attrs(
         if found:
             param_leaves[arg.arg] = found
 
-    for node in iter_own_nodes(init.node):
+    for node in init.own_nodes:
         if isinstance(node, ast.AnnAssign):
             attr = self_attr(node.target)
             if attr is not None:

@@ -55,8 +55,10 @@ class LintReport:
 def iter_python_files(paths: list[str | Path]) -> list[Path]:
     """Every ``.py`` file under the given paths, sorted for determinism.
 
-    Raises :class:`FileNotFoundError` for a path that does not exist, so
-    a mistyped path cannot pass having checked nothing.
+    Raises :class:`FileNotFoundError` for a path that does not exist and
+    :class:`NotADirectoryError` for one that is neither a directory nor
+    a ``.py`` file, so a mistyped path cannot pass having checked
+    nothing.
     """
     files: set[Path] = set()
     for raw in paths:
@@ -69,4 +71,8 @@ def iter_python_files(paths: list[str | Path]) -> list[Path]:
             files.update(sorted(path.rglob("*.py")))
         elif path.suffix == ".py":
             files.add(path)
+        else:
+            raise NotADirectoryError(
+                errno.ENOTDIR, "not a directory or a .py file", str(raw)
+            )
     return sorted(files)

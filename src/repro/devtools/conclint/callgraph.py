@@ -35,7 +35,6 @@ from repro.devtools.common.index import (
     FunctionInfo,
     ModuleInfo,
     ProjectIndex,
-    iter_own_nodes,
 )
 
 __all__ = ["CallGraph", "build_callgraph"]
@@ -172,7 +171,7 @@ def build_callgraph(index: ProjectIndex) -> CallGraph:
     for qualname in sorted(index.functions):
         fn = index.functions[qualname]
         minfo = index.modules[fn.module]
-        for node in iter_own_nodes(fn.node):
+        for node in fn.own_nodes:
             if not isinstance(node, ast.Call):
                 continue
             for target in _callable_targets(node.func, fn, minfo, index):

@@ -24,7 +24,6 @@ from repro.devtools.common.index import (
     ModuleInfo,
     ProjectIndex,
     classify_value,
-    iter_own_nodes,
 )
 from repro.devtools.conclint.callgraph import (
     SUBMIT_METHODS,
@@ -144,9 +143,9 @@ def _enclosing_stmt_line(root: ast.AST, target: ast.AST) -> int:
 # Shared helpers
 
 
-def _global_declarations(fn_node: ast.AST) -> set[str]:
+def _global_declarations(fn: FunctionInfo) -> set[str]:
     declared: set[str] = set()
-    for node in iter_own_nodes(fn_node):
+    for node in fn.own_nodes:
         if isinstance(node, ast.Global):
             declared.update(node.names)
     return declared
@@ -172,17 +171,17 @@ def _binding_names(target: ast.expr) -> set[str]:
     return set()
 
 
-def _local_bindings(fn_node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+def _local_bindings(fn: FunctionInfo) -> set[str]:
     """Names bound locally (and therefore shadowing module globals)."""
     bound: set[str] = set()
-    args = fn_node.args
+    args = fn.node.args
     for arg in (
         *args.posonlyargs, *args.args, *args.kwonlyargs,
         *([args.vararg] if args.vararg else []),
         *([args.kwarg] if args.kwarg else []),
     ):
         bound.add(arg.arg)
-    for node in iter_own_nodes(fn_node):
+    for node in fn.own_nodes:
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -202,7 +201,7 @@ def _local_bindings(fn_node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 bound.add(alias.asname or alias.name.split(".")[0])
-    return bound - _global_declarations(fn_node)
+    return bound - _global_declarations(fn)
 
 
 def _receiver_global(
@@ -244,10 +243,10 @@ class GlobalMutationRule(ConcRule):
 
     def check_function(self, fn: FunctionInfo) -> None:
         minfo = self.actx.module(fn)
-        declared = _global_declarations(fn.node)
-        shadowed = _local_bindings(fn.node)
+        declared = _global_declarations(fn)
+        shadowed = _local_bindings(fn)
         via = self.actx.reached_via(fn)
-        for node in iter_own_nodes(fn.node):
+        for node in fn.own_nodes:
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (
                     node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -348,7 +347,7 @@ class UnguardedCacheWriteRule(ConcRule):
         if cls_info is None:
             return
         lock_attrs = self._lock_attributes(cls_info.node)
-        aliases = self._cache_aliases(fn.node)
+        aliases = self._cache_aliases(fn)
         via = self.actx.reached_via(fn)
         self._walk(fn, fn.node.body, lock_attrs, aliases, guarded=False, via=via)
 
@@ -372,11 +371,11 @@ class UnguardedCacheWriteRule(ConcRule):
                         locks.add(target.attr)
         return locks
 
-    def _cache_aliases(self, fn_node: ast.AST) -> set[str]:
+    def _cache_aliases(self, fn: FunctionInfo) -> set[str]:
         """Local names bound to a cache attribute (``cache = self._answer_cache``
         or ``cache = getattr(self, "_answer_cache", None)``)."""
         aliases: set[str] = set()
-        for node in iter_own_nodes(fn_node):
+        for node in fn.own_nodes:
             if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                 continue
             target = node.targets[0]
@@ -564,11 +563,11 @@ class ForkShipMutationRule(ConcRule):
     def _global_ships(self, fn: FunctionInfo) -> list[tuple[int, float, str, str]]:
         """Assignments to a declared global in a function that touches a
         pool: the value stays shipped for the rest of the function."""
-        declared = _global_declarations(fn.node)
+        declared = _global_declarations(fn)
         if not declared or not self._touches_pool(fn):
             return []
         ships: list[tuple[int, float, str, str]] = []
-        for node in iter_own_nodes(fn.node):
+        for node in fn.own_nodes:
             if not isinstance(node, ast.Assign):
                 continue
             for target in node.targets:
@@ -587,7 +586,7 @@ class ForkShipMutationRule(ConcRule):
         forked workers from the ``with`` line to the block's end."""
         minfo = self.actx.module(fn)
         ships: list[tuple[int, float, str, str]] = []
-        for node in iter_own_nodes(fn.node):
+        for node in fn.own_nodes:
             if not isinstance(node, ast.With):
                 continue
             for item in node.items:
@@ -608,7 +607,7 @@ class ForkShipMutationRule(ConcRule):
 
     def _touches_pool(self, fn: FunctionInfo) -> bool:
         minfo = self.actx.module(fn)
-        for node in iter_own_nodes(fn.node):
+        for node in fn.own_nodes:
             if not isinstance(node, ast.Call):
                 continue
             if (
@@ -637,7 +636,7 @@ class ForkShipMutationRule(ConcRule):
         global_name: str,
     ) -> None:
         prefix = shipped + "."
-        for node in iter_own_nodes(fn.node):
+        for node in fn.own_nodes:
             lineno = getattr(node, "lineno", 0)
             if lineno <= ship_line or lineno > last_line:
                 continue
@@ -694,9 +693,9 @@ class ForkUnsafeCaptureRule(ConcRule):
     def check_function(self, fn: FunctionInfo) -> None:
         minfo = self.actx.module(fn)
         if self.actx.graph.is_worker_reachable(fn.qualname):
-            shadowed = _local_bindings(fn.node)
+            shadowed = _local_bindings(fn)
             via = self.actx.reached_via(fn)
-            for node in iter_own_nodes(fn.node):
+            for node in fn.own_nodes:
                 if not isinstance(node, (ast.Name, ast.Attribute)):
                     continue
                 if not isinstance(getattr(node, "ctx", None), ast.Load):
@@ -723,7 +722,7 @@ class ForkUnsafeCaptureRule(ConcRule):
         parent_resources = self._local_resources(parent)
         if not parent_resources:
             return
-        free = _loaded_names(fn.node) - _local_bindings(fn.node)
+        free = _loaded_names(fn.node) - _local_bindings(fn)
         for name in sorted(free & set(parent_resources)):
             self.report(
                 fn,
@@ -736,7 +735,7 @@ class ForkUnsafeCaptureRule(ConcRule):
 
     def _check_submitted_lambdas(self, fn: FunctionInfo, minfo: ModuleInfo) -> None:
         resources = self._local_resources(fn)
-        for node in iter_own_nodes(fn.node):
+        for node in fn.own_nodes:
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -761,7 +760,7 @@ class ForkUnsafeCaptureRule(ConcRule):
     def _local_resources(self, fn: FunctionInfo) -> set[str]:
         minfo = self.actx.module(fn)
         resources: set[str] = set()
-        for node in iter_own_nodes(fn.node):
+        for node in fn.own_nodes:
             if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                 continue
             target = node.targets[0]
@@ -787,10 +786,10 @@ class SharedRngRule(ConcRule):
 
     def check_function(self, fn: FunctionInfo) -> None:
         minfo = self.actx.module(fn)
-        shadowed = _local_bindings(fn.node)
+        shadowed = _local_bindings(fn)
         via = self.actx.reached_via(fn)
         rng_attrs = self._instance_rng_attrs(fn)
-        for node in iter_own_nodes(fn.node):
+        for node in fn.own_nodes:
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
                 getattr(node, "ctx", None), ast.Load
             ):

@@ -83,7 +83,9 @@ def analyze(
 ) -> LintReport:
     """Lint files/trees and apply the baseline; the main entry point.
 
-    Raises :class:`FileNotFoundError` for a path that does not exist.
+    Raises :class:`FileNotFoundError` for a path that does not exist and
+    :class:`NotADirectoryError` for one that is neither a directory nor
+    a ``.py`` file.
     """
     files = iter_python_files(list(paths or DEFAULT_PATHS))
     index = ProjectIndex.build(files)
@@ -136,8 +138,8 @@ def main(args: argparse.Namespace, out=None) -> int:
         report = analyze(
             args.paths, None if args.no_baseline else args.baseline
         )
-    except FileNotFoundError as exc:
-        print(f"lint: no such file or directory: {exc.filename}", file=sys.stderr)
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        print(f"lint: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 2
 
     if args.dump is not None:

@@ -35,7 +35,6 @@ from repro.devtools.common.index import (
     ModuleInfo,
     ProjectIndex,
     ctor_of,
-    iter_own_nodes,
     self_attr,
 )
 
@@ -144,7 +143,7 @@ def _scan_class(
     if init is None:
         return
     minfo = index.modules[cinfo.module]
-    for node in iter_own_nodes(init.node):
+    for node in init.own_nodes:
         if isinstance(node, ast.AnnAssign):
             targets: list[ast.expr] = [node.target]
         elif isinstance(node, ast.Assign):
@@ -204,7 +203,7 @@ def _scan_locals(
     index: ProjectIndex, table: SiteTable, fn: FunctionInfo
 ) -> None:
     minfo = index.modules[fn.module]
-    for node in iter_own_nodes(fn.node):
+    for node in fn.own_nodes:
         if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
             continue
         ctor = ctor_of(node.value, minfo)

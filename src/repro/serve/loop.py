@@ -6,34 +6,39 @@ open-ended *stream* of answer requests against a warm
 fleet.  :class:`ServeLoop` is that tier, built from pieces the pipeline
 already trusts:
 
-* **Thread-pool scheduling, deterministic results.**  Requests are
+* **Memo hits at admission.**  The submitting thread peeks the target
+  engine's memo as each request arrives; a hit (``hit``) is answered
+  right there, with no future, no admission slot and no worker
+  handoff.  On a popularity-skewed stream most requests are hits, so
+  most of a drain never touches the pool.
+* **Thread-pool scheduling, deterministic results.**  Cold keys are
   dispatched to a :class:`~concurrent.futures.ThreadPoolExecutor` in
-  arrival order and collected in submission order.  Engines are
-  deterministic per query, so the *answers* are byte-identical at any
-  worker width — only wall-clock latency varies.  (Processes would
+  arrival order; every result lands at its stream position.  Engines
+  are deterministic per query, so the *answers* are byte-identical at
+  any worker width — only wall-clock latency varies.  (Processes would
   defeat the point: coalescing and memo sharing need one address
   space.)
 * **Admission control.**  A bounded in-flight window applies
-  backpressure: when the backlog reaches ``max_pending`` the submitter
-  blocks (counted as an admission wait) instead of growing an unbounded
-  queue.  Nothing is silently dropped, so completeness — and with it
-  determinism — survives overload.
-* **Request coalescing (single-flight).**  Requests are classified
-  against the engine memo first (``hit``); cold keys enter a
+  backpressure to the pool: when the cold backlog reaches
+  ``max_pending`` the submitter blocks (counted as an admission wait)
+  instead of growing an unbounded queue.  Nothing is silently dropped,
+  so completeness — and with it determinism — survives overload.
+* **Request coalescing (single-flight).**  Cold keys enter a
   :class:`~repro.serve.singleflight.SingleFlight` group so concurrent
   duplicates of one ``Query.cache_key`` collapse into a single
   ``_answer_uncached`` computation (``miss`` for the leader,
-  ``coalesced`` for followers).  For any workload the number of misses
+  ``coalesced`` for followers; a leader whose key was memoized since
+  admission is a ``hit``).  For any workload the number of misses
   equals the number of distinct cold keys — exactly.
 * **Per-engine backpressure (PR 5 reuse).**  With a resilience context
   installed, each request consults its engine's
-  :class:`~repro.resilience.policy.CircuitBreaker` *before* occupying a
-  pool slot: an open breaker sheds the request immediately as a
-  degraded answer (``shed``) instead of queueing doomed work.  Requests
-  that exhaust the retry ladder inside the engine come back as
-  ``degraded``, quarantined with serve-phase provenance — the loop
-  never dies.  The context's per-phase deadline budget applies to the
-  ``"serve"`` phase like any other.
+  :class:`~repro.resilience.policy.CircuitBreaker` *before* the memo
+  peek and any pool slot: an open breaker sheds the request (memoized
+  or not) immediately as a degraded answer (``shed``) instead of
+  queueing doomed work.  Requests that exhaust the retry ladder inside
+  the engine come back as ``degraded``, quarantined with serve-phase
+  provenance — the loop never dies.  The context's per-phase deadline
+  budget applies to the ``"serve"`` phase like any other.
 
 Latency accounting is wall-clock and lives in
 :class:`~repro.serve.stats.ServeStats` — telemetry, never results; see
@@ -73,9 +78,12 @@ class ServeResult:
     answer: Answer
     #: "hit" | "coalesced" | "miss" | "shed" | "degraded".
     outcome: str
-    #: Wall seconds spent servicing the request (0.0 when shed).
+    #: Wall seconds spent servicing the request: the admission-time
+    #: memo peek alone for a hit, the pool worker's compute for a miss
+    #: or a coalesced request, 0.0 when shed.
     service_seconds: float
-    #: Wall seconds between submission and a worker picking it up.
+    #: Wall seconds between submission and a worker picking it up;
+    #: 0.0 for a hit or a shed, which never reach the pool.
     queue_delay_seconds: float
 
 
@@ -122,8 +130,9 @@ class ServeLoop:
             raise ValueError("max_pending must be at least 1")
         self._world = world
         self.workers = workers
-        #: Admission window: in-flight + queued requests the loop will
-        #: hold before the submitter blocks (backpressure, not drops).
+        #: Admission window: in-flight + queued cold requests the loop
+        #: will hold before the submitter blocks (backpressure, not
+        #: drops); hits are answered at admission and never hold a slot.
         self.max_pending = max_pending if max_pending is not None else 4 * workers
         self.stats = stats or ServeStats()
         self.flight = SingleFlight()
@@ -157,9 +166,11 @@ class ServeLoop:
                 # streams are generated in arrival order).
                 gap = request.arrival - self.clock.now()
                 self.clock.sleep(gap)
-                shed = self._shed(ctx, request)
-                if shed is not None:
-                    results[position] = shed
+                # The breaker first, so an open one sheds even a memoized
+                # key; then the memo, so a hit never takes a slot.
+                served = self._shed(ctx, request) or self._hit(request)
+                if served is not None:
+                    results[position] = served
                     continue
                 if not admission.acquire(blocking=False):
                     # Backlog at capacity: block — backpressure, never
@@ -214,6 +225,29 @@ class ServeLoop:
             queue_delay_seconds=0.0,
         )
 
+    def _hit(self, request: ServeRequest) -> ServeResult | None:
+        """Admission-time memo peek: a hit is served right here.
+
+        The submitting thread answers a memoized key itself — no
+        future, no admission slot, no worker handoff — so a hit never
+        queues and its service time is the peek alone.  A miss returns
+        ``None`` and goes to the pool.
+        """
+        started = time.perf_counter()  # detlint: ignore[DET002] -- latency telemetry
+        engine = self._world.engines[request.engine]
+        cached = engine.cached_answer(request.query)
+        if cached is None:
+            return None
+        service = time.perf_counter() - started  # detlint: ignore[DET002] -- latency telemetry
+        self.stats.record("hit", service, 0.0)
+        return ServeResult(
+            request=request,
+            answer=cached,
+            outcome="hit",
+            service_seconds=service,
+            queue_delay_seconds=0.0,
+        )
+
     def _serve_one(
         self,
         request: ServeRequest,
@@ -221,16 +255,12 @@ class ServeLoop:
         admission: threading.BoundedSemaphore,
         ctx,
     ) -> ServeResult:
-        """Service one request on a pool worker (conclint entry point)."""
+        """Service one cold key on a pool worker (conclint entry point)."""
         try:
             picked_up = time.perf_counter()  # detlint: ignore[DET002] -- latency telemetry
             queue_delay = picked_up - submitted
             engine = self._world.engines[request.engine]
-            cached = engine.cached_answer(request.query)
-            if cached is not None:
-                outcome, answer = "hit", cached
-            else:
-                outcome, answer = self._compute(engine, request, ctx)
+            outcome, answer = self._compute(engine, request, ctx)
             service = time.perf_counter() - picked_up  # detlint: ignore[DET002] -- latency telemetry
             self.stats.record(outcome, service, queue_delay)
             return ServeResult(
@@ -247,9 +277,9 @@ class ServeLoop:
         """One cold-key computation behind the single-flight group.
 
         The leader peeks the memo again before computing: a flight for
-        the same key may have finished between :meth:`_serve_one`'s
-        peek and this one's start, and its answer is then a ``hit``,
-        not a second ``miss``.
+        the same key may have finished between the admission peek
+        (:meth:`_hit`) and this one's start, and its answer is then a
+        ``hit``, not a second ``miss``.
         """
         key = (request.engine, request.query.cache_key)
 

@@ -110,6 +110,16 @@ class TestMissingPath:
         assert main(["lint"]) == 2
         assert "no such file or directory: src/repro" in capsys.readouterr().err
 
+    def test_path_neither_a_tree_nor_a_py_file_exits_2(self, tmp_path, capsys):
+        readme = tmp_path / "README.md"
+        readme.write_text("# not python\n")
+        assert main(["lint", str(tmp_path), str(readme)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            f"lint: not a directory or a .py file: {readme}"
+        )
+        assert captured.out == ""
+
 
 class TestPassFindings:
     def test_same_named_modules_are_not_merged(self, tmp_path, capsys):

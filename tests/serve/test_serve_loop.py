@@ -9,8 +9,13 @@ The bar, in increasing strength:
 * a targeted ``engine.answer`` chaos plan trips only the faulted
   engine's breaker, sheds only its traffic, and leaves every other
   engine's answers untouched;
-* recoverable chaos leaves the digest byte-identical to a clean run.
+* recoverable chaos leaves the digest byte-identical to a clean run;
+* a memo hit is answered at admission, on the submitting thread: it
+  never queues, never takes an admission slot and never waits behind
+  a cold computation.
 """
+
+import threading
 
 import pytest
 
@@ -142,6 +147,77 @@ class TestCoalescedServingEquivalence:
         # Every duplicate of a key received the *same object*: either
         # the memo entry or the in-flight leader's result.
         assert all(len(ids) == 1 for ids in by_key.values())
+
+
+class TestAdmissionTimeHits:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_warm_drain_never_reaches_the_pool(self, serve_world, workers):
+        profile = LoadProfile(requests=60, pool_size=12, seed=9)
+        requests = generate_requests(serve_world.catalog, profile)
+        serve_world.serve_loop(workers=workers).serve(requests)
+        loop = serve_world.serve_loop(workers=workers, max_pending=1)
+        results = loop.serve(requests)
+        assert [r.outcome for r in results] == ["hit"] * len(requests)
+        assert all(r.queue_delay_seconds == 0.0 for r in results)
+        snapshot = loop.stats.snapshot()
+        assert snapshot.outcomes["hit"] == len(requests)
+        assert snapshot.admission_waits == 0
+        assert loop.flight.counters() == (0, 0)
+
+    def test_hit_is_answered_while_a_miss_holds_the_only_slot(
+        self, serve_world, monkeypatch
+    ):
+        """A hit queued behind an in-flight miss does not wait for it.
+
+        The miss's compute blocks until the hit has been recorded, so
+        the test only passes if the hit needs neither the one admission
+        slot nor the one worker the miss holds.
+        """
+        cold, warm = query_pool(serve_world.catalog, 2, seed=25)
+        engine = serve_world.engines["Perplexity"]
+        memoized = engine.answer(warm)
+        hit_recorded = threading.Event()
+        waits = []
+        compute = engine.answer
+
+        def answer_after_the_hit(query):
+            if query.cache_key == cold.cache_key:
+                waits.append(hit_recorded.wait(timeout=5.0))
+            return compute(query)
+
+        monkeypatch.setattr(engine, "answer", answer_after_the_hit)
+        loop = serve_world.serve_loop(workers=1, max_pending=1)
+        record = loop.stats.record
+
+        def record_and_signal(outcome, service_seconds, queue_delay_seconds):
+            record(outcome, service_seconds, queue_delay_seconds)
+            if outcome == "hit":
+                hit_recorded.set()
+
+        monkeypatch.setattr(loop.stats, "record", record_and_signal)
+        miss, hit = loop.serve(
+            _requests_for([cold, warm], engines=("Perplexity",))
+        )
+        assert waits == [True]
+        assert (miss.outcome, hit.outcome) == ("miss", "hit")
+        assert hit.answer is memoized
+        assert loop.stats.snapshot().admission_waits == 0
+
+    def test_open_breaker_still_sheds_a_memoized_key(self, serve_world):
+        ctx = _install(serve_world)
+        query = query_pool(serve_world.catalog, 1, seed=26)[0]
+        engine = serve_world.engines["Gemini"]
+        memoized = engine.answer(query)
+        breaker = ctx.breaker_for("Gemini")
+        for _ in range(ctx.config.breaker_threshold):
+            breaker.record_exhaustion()
+        assert breaker.is_open and engine.cached_answer(query) is memoized
+        loop = serve_world.serve_loop(workers=1)
+        (result,) = loop.serve(_requests_for([query], engines=("Gemini",)))
+        assert result.outcome == "shed"
+        assert result.answer is not memoized
+        outcomes = loop.stats.snapshot().outcomes
+        assert outcomes["shed"] == 1 and outcomes["hit"] == 0
 
 
 class TestWorkerWidthDeterminism:

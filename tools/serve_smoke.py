@@ -16,14 +16,18 @@ at two worker widths and checks two kinds of baseline recorded in the
   - ``warm_overhead``: warm (all-hits) drain time / the time the same
     number of no-op tasks take through a bare thread pool of the same
     width, timed back to back in this process; the median over rounds.
-    A warm drain is mostly that thread handoff, so the reference tracks
-    the machine and its scheduler; a regression in the hit path or the
-    loop's per-request overhead raises the quotient, and a faster or
-    slower miss path cannot move it.  The best cold drain time is
-    printed alongside, ungated.
-  - ``tail_ratio``: service-latency p99 / p50 of the cold drain.  A
-    generous ceiling — the point is to catch a coalescing bug that
-    makes followers serialize behind work they should have shared.
+    The loop answers every hit at admission, on the submitting thread,
+    so a warm drain hands nothing to the pool and reads well below 1x;
+    the reference is what one thread handoff per request would cost
+    on this machine.  A regression in the hit path or the loop's
+    per-request overhead raises the quotient (a hit routed through the
+    pool again reads about 2x), and a faster or slower miss path
+    cannot move it.  The best cold drain time is printed alongside,
+    ungated.
+  - ``tail_ratio``: service-latency p99 / p50 of a warm drain, where
+    every request's service time is its admission-time memo peek.  A
+    generous ceiling — the point is to catch a hit path that sometimes
+    stalls, e.g. a peek that waits on a lock a computation holds.
 
 Chaos leg: with ``REPRO_CHAOS`` set (see ``repro.core.config.
 default_chaos_plan``), the stream is served with that fault plan

@@ -16,10 +16,12 @@ RECOVERABLE_PLAN = engine.answer:0.3:2:error,retrieval.select_sources:0.3:2:time
 # The fault-injection suite, sequentially and through the pool, then the
 # seed-7 study and the serving gate under the recoverable plan: output
 # must be byte-identical when every injected fault is retry-recoverable.
+# The clean reference is the sequential loop, so the workers=4 run
+# compares the process pool under faults against it.
 chaos:
 	REPRO_WORKERS=1 pytest tests/resilience/ -q
 	REPRO_WORKERS=4 pytest tests/resilience/ -q
-	python -m repro run --seed 7 --json results/chaos/clean.json > /dev/null
+	REPRO_WORKERS=1 python -m repro run --seed 7 --json results/chaos/clean.json > /dev/null
 	REPRO_WORKERS=1 python -m repro run --seed 7 --json results/chaos/w1.json --chaos "$(RECOVERABLE_PLAN)" --chaos-seed 5 > /dev/null
 	cmp results/chaos/clean.json results/chaos/w1.json
 	REPRO_WORKERS=4 python -m repro run --seed 7 --json results/chaos/w4.json --chaos "$(RECOVERABLE_PLAN)" --chaos-seed 5 > /dev/null

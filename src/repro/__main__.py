@@ -31,7 +31,7 @@ import sys
 import time
 
 from repro.core.calibration import calibration_report
-from repro.core.config import EXECUTORS, StudyConfig, WorkloadSizes
+from repro.core.config import StudyConfig, WorkloadSizes
 from repro.core.experiments import EXPERIMENTS, run_experiment
 from repro.core.export import results_to_json
 from repro.core.report import render_stats
@@ -88,12 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker pool width for engine fan-out "
         "(default: $REPRO_WORKERS or 1 = sequential; results are "
         "identical for any value)",
-    )
-    study_options.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default="process",
-        help="pool kind for --workers > 1 (default: process)",
     )
     study_options.add_argument(
         "--corpus-scale",
@@ -302,8 +296,6 @@ def _config(args: argparse.Namespace) -> StudyConfig:
     kwargs = dict(seed=args.seed, sizes=sizes)
     if getattr(args, "workers", None) is not None:
         kwargs["workers"] = args.workers
-    if getattr(args, "executor", None) is not None:
-        kwargs["executor"] = args.executor
     if getattr(args, "corpus_scale", None) is not None:
         kwargs["corpus_scale"] = args.corpus_scale
     return StudyConfig(**kwargs)
@@ -394,9 +386,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.report import render_serve_stats
     from repro.serve import LoadProfile, answers_digest, generate_requests
 
-    world = World.build(_config(args))
-    if not _install_chaos(args, world):
-        return 2
     try:
         profile = LoadProfile(
             requests=args.requests,
@@ -409,6 +398,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         print(f"bad load profile: {exc}", file=sys.stderr)
+        return 2
+    world = World.build(_config(args))
+    if not _install_chaos(args, world):
         return 2
     requests = generate_requests(world.catalog, profile)
     workers = args.workers if args.workers is not None else 4
@@ -447,6 +439,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_replicate(args: argparse.Namespace) -> int:
     from repro.core.replication import replicate
 
+    if len(set(args.seeds)) != len(args.seeds):
+        seeds = " ".join(map(str, args.seeds))
+        print(f"seeds must be distinct, got: {seeds}", file=sys.stderr)
+        return 2
     report = replicate(args.seeds)
     print(report.render())
     return 0

@@ -12,9 +12,9 @@ runs *outside* the lock (racing duplicate computations are
 deterministic, so last-insert-wins is harmless), all bookkeeping —
 insert, trim, counters — runs inside it.  Instances are plain
 attributes of world-owned objects, so forked pool workers inherit
-independent copies and the thread executor shares one safely through
-the lock; no module-level state is involved (CONC001/CONC004 clean by
-construction).
+independent copies and the serving tier's thread pool shares one safely
+through the lock; no module-level state is involved (CONC001/CONC004
+clean by construction).
 
 A leaf module: it imports only the witness helpers, so the engines, the
 runner and the search substrate can all build on it without an import

@@ -12,11 +12,9 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from repro.forkpool import EXECUTORS
 from repro.webgraph.dates import DEFAULT_STUDY_DATE
 
 __all__ = [
-    "EXECUTORS",
     "StudyConfig",
     "WorkloadSizes",
     "cache_witness_enabled",
@@ -130,12 +128,11 @@ class StudyConfig:
     study_date: dt.date = DEFAULT_STUDY_DATE
     sizes: WorkloadSizes = field(default_factory=WorkloadSizes)
     #: Worker pool width for the study runner.  1 = the plain sequential
-    #: loop.  Excluded from equality/hash: results are identical for any
+    #: loop; more = a process pool that inherits the world by ``fork``.
+    #: Excluded from equality/hash: results are identical for any
     #: worker count (the runner's determinism invariant), so two configs
     #: differing only in execution strategy describe the same study.
     workers: int = field(default_factory=default_workers, compare=False)
-    #: "process" (fork-inherited world) or "thread".
-    executor: str = field(default="process", compare=False)
     #: Retired: search always runs on one index.  Kept only so existing
     #: ``search_shards=0`` call sites still construct; any other value
     #: is rejected.
@@ -150,10 +147,6 @@ class StudyConfig:
             raise ValueError("corpus_scale must be positive and finite")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
         if self.search_shards != 0:
             raise ValueError(
                 "search_shards is no longer supported: search always runs "

@@ -196,14 +196,9 @@ def render_stats(study: "ComparativeStudy") -> str:
     their own short-lived copies), and the world's evidence cache.
     """
     stats = study.runner.stats
-    effective = ""
-    if stats.effective_executor and stats.effective_executor != stats.executor:
-        # The pool degraded (e.g. no fork support -> threads); make the
-        # substitution visible next to what was requested.
-        effective = f" (effective: {stats.effective_executor})"
     lines = [
         "Run statistics",
-        f"  runner: workers={stats.workers} executor={stats.executor}{effective}",
+        f"  runner: workers={stats.workers}",
         f"  {'phase':<12} {'wall s':>8} {'queries':>9} {'pool tasks':>11}",
     ]
     for phase in stats.phases.values():

@@ -5,14 +5,13 @@ pairs, and the Section 3 experiments re-retrieve the same evidence
 context ``D_q`` for the same queries in Tables 1, 2 and 3.  This module
 exploits both facts:
 
-* :class:`StudyRunner` fans ``engine.answer_all`` out over a
-  ``concurrent.futures`` pool.  ``workers=1`` (the default) is the plain
-  sequential loop the study always used, so determinism-sensitive tests
-  see no pool at all.  With ``workers > 1`` the workload is chunked per
-  engine and reassembled in submission order, which makes parallel
-  results **byte-identical** to sequential ones — engines are
-  deterministic per query, and ordering is fixed by construction, not by
-  completion time.
+* :class:`StudyRunner` fans ``engine.answer_all`` out over a process
+  pool.  ``workers=1`` (the default) is the plain sequential loop the
+  study always used, so determinism-sensitive tests see no pool at all.
+  With ``workers > 1`` the workload is chunked per engine and
+  reassembled in submission order, which makes parallel results
+  **byte-identical** to sequential ones — engines are deterministic per
+  query, and ordering is fixed by construction, not by completion time.
 * :class:`EvidenceCache` is the world-level memo for the Section 3.1
   evidence contexts, keyed ``(query text, policy, index epoch)``, so
   each context is retrieved exactly once per world no matter how many
@@ -21,19 +20,20 @@ exploits both facts:
   query-result cache and its :class:`~repro.search.snippets.SnippetCache`
   — it is a :class:`~repro.caching.BoundedCache`: instance-owned and
   lock-guarded, so forked pool workers inherit warm copies
-  copy-on-write, the thread executor shares one safely, and cached
-  values are deterministic, so worker topology never changes results.
+  copy-on-write, the serving tier's threads share one safely, and
+  cached values are deterministic, so worker topology never changes
+  results.
 * :class:`RunStats` counts what happened (queries answered, pool tasks,
   cache hits/misses, wall time per phase) and is rendered by
   :func:`repro.core.report.render_stats` and ``python -m repro run
   --stats``.
 
-Process pools use the ``fork`` start method and ship the world to
+The pool uses the ``fork`` start method and ships the world to
 workers by inheritance (:func:`repro.forkpool.fork_inherit`), so
 nothing as large as a corpus is ever pickled; only query chunks go in
 and answer lists come back.  On platforms without ``fork`` the runner
-degrades to threads — with a :class:`RuntimeWarning` and the effective
-executor recorded in :class:`RunStats`, so degraded runs are visible.
+runs sequentially — with a :class:`RuntimeWarning`, and ``workers=1``
+recorded in :class:`RunStats`, so degraded runs are visible.
 
 Resilience (see :mod:`repro.resilience`): when the world carries an
 installed :class:`~repro.resilience.context.ResilienceContext`, the
@@ -51,6 +51,7 @@ ones.  Without a context, failures propagate exactly as before — as a
 from __future__ import annotations
 
 import time
+import warnings
 from collections.abc import Iterator, Sequence
 from concurrent.futures import Future
 from contextlib import contextmanager
@@ -60,7 +61,7 @@ from typing import TYPE_CHECKING
 from repro.caching import BoundedCache, CacheCounters
 from repro.engines.base import Answer
 from repro.entities.queries import Query
-from repro.forkpool import EXECUTORS, fork_inherit, inherited
+from repro.forkpool import fork_available, fork_inherit, inherited
 from repro.llm.rng import derive_seed
 from repro.resilience.context import ResilienceContext, ResilienceEvents
 from repro.resilience.faults import ResilienceExhausted
@@ -128,19 +129,16 @@ class RunStats:
     active, or an ``(ad hoc)`` bucket outside any phase.
 
     Beyond phase timing the stats carry the run's resilience telemetry:
-    ``effective_executor`` (what the pool actually ran on, e.g. after a
-    no-``fork`` degrade), ``journal_replays`` (chunks served from the
-    resume journal), and ``resilience_events`` (a snapshot of the
-    context's retry/fault/breaker/quarantine counters, refreshed after
-    every ``StudyRunner.answers`` call).
+    ``journal_replays`` (chunks served from the resume journal) and
+    ``resilience_events`` (a snapshot of the context's
+    retry/fault/breaker/quarantine counters, refreshed after every
+    ``StudyRunner.answers`` call).
     """
 
-    def __init__(self, workers: int = 1, executor: str = "process") -> None:
+    def __init__(self, workers: int = 1) -> None:
         self.workers = workers
-        self.executor = executor
         self.phases: dict[str, PhaseStats] = {}
         self._stack: list[str] = []
-        self.effective_executor: str | None = None
         self.journal_replays = 0
         self.resilience_events: dict[str, int] = {}
 
@@ -219,39 +217,28 @@ class ChunkOutcome:
     quarantined: tuple[QuarantineRecord, ...] = ()
 
 
-def _execute_chunk(
-    world: "World", engine_name: str, queries: list[Query], attempt: int = 1
-) -> list[Answer]:
-    """Answer one chunk against ``world`` (shared by both executors).
+def _answer_chunk(
+    engine_name: str, queries: list[Query], attempt: int = 1
+) -> ChunkOutcome:
+    """Answer one chunk in a forked worker, via the inherited world.
 
     The ``"runner.chunk"`` fault site lives here: a plan can crash a
     whole chunk deterministically, keyed by (engine, first query id,
     size) so a parent-side resubmission — which bumps ``attempt`` —
-    can deterministically succeed.
-    """
-    ctx = world.resilience
-    if ctx is not None and queries:
-        key = (engine_name, queries[0].id, len(queries))
-        ctx.injector.check("runner.chunk", key, attempt, clock=ctx.clock)
-    return world.engines[engine_name].answer_all(queries)
-
-
-def _answer_chunk(
-    engine_name: str, queries: list[Query], attempt: int = 1
-) -> "list[Answer] | ChunkOutcome":
-    """Answer one chunk in a forked worker, via the inherited world.
-
-    With resilience installed, returns a :class:`ChunkOutcome` carrying
-    the worker-local event/quarantine deltas; without, the plain answer
-    list (byte-for-byte the historical protocol).
+    can deterministically succeed.  With resilience installed, the
+    outcome carries the worker-local event/quarantine deltas.
     """
     world: "World" = inherited()
+    engine = world.engines[engine_name]
     ctx = world.resilience
     if ctx is None:
-        return _execute_chunk(world, engine_name, queries, attempt)
+        return ChunkOutcome(answers=engine.answer_all(queries))
     events_before = ctx.events.snapshot()
     quarantine_before = len(ctx.quarantine)
-    answers = _execute_chunk(world, engine_name, queries, attempt)
+    if queries:
+        key = (engine_name, queries[0].id, len(queries))
+        ctx.injector.check("runner.chunk", key, attempt, clock=ctx.clock)
+    answers = engine.answer_all(queries)
     return ChunkOutcome(
         answers=answers,
         events=ResilienceEvents.delta(events_before, ctx.events.snapshot()),
@@ -276,21 +263,15 @@ def _degraded_answer(engine_name: str, query: Query) -> Answer:
 class StudyRunner:
     """Fans engine workloads out over a worker pool.
 
-    ``workers`` and ``executor`` default to the world's
+    ``workers`` defaults to the world's
     :class:`~repro.core.config.StudyConfig`; ``workers=1`` takes the
-    exact sequential path the study always had.  Executors:
-
-    * ``"process"`` — ``fork``-based :class:`ProcessPoolExecutor`; the
-      world is inherited copy-on-write, chunks of queries go out,
-      answers come back.  Worker-side engine memo caches are forked
-      copies and die with the pool, so the parent's caches are never
-      mutated concurrently.  Falls back to threads where ``fork`` is
-      unavailable (with a warning; ``stats.effective_executor`` records
-      what actually ran).
-    * ``"thread"`` — :class:`ThreadPoolExecutor` sharing the parent's
-      engines; :meth:`AnswerEngine.answer` inserts under a lock, so the
-      shared memo cache is safe (duplicate computations are
-      deterministic and identical).
+    exact sequential path the study always had.  ``workers > 1`` runs a
+    ``fork``-based :class:`~concurrent.futures.ProcessPoolExecutor`: the
+    world is inherited copy-on-write, chunks of queries go out, answers
+    come back.  Worker-side engine memo caches are forked copies and die
+    with the pool, so the parent's caches are never mutated
+    concurrently.  Where ``fork`` is unavailable the runner warns and
+    runs sequentially (``workers`` and ``stats.workers`` read 1).
 
     Determinism invariant: results are keyed by (engine, chunk index)
     and reassembled in submission order, so for any worker count the
@@ -310,19 +291,23 @@ class StudyRunner:
         self,
         world: "World",
         workers: int | None = None,
-        executor: str | None = None,
         stats: RunStats | None = None,
         journal: RunJournal | None = None,
     ) -> None:
         config = world.config
         self._world = world
         self.workers = config.workers if workers is None else workers
-        self.executor = config.executor if executor is None else executor
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {self.executor!r}")
-        self.stats = stats or RunStats(self.workers, self.executor)
+        if self.workers > 1 and not fork_available():
+            warnings.warn(
+                "fork start method unavailable; running the study "
+                "sequentially (results are identical)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            self.workers = 1
+        self.stats = stats or RunStats(self.workers)
         self._journal = journal
         self._config_fingerprint: str | None = None
 
@@ -439,17 +424,9 @@ class StudyRunner:
     # ------------------------------------------------------------------
     # Pooled path
 
-    def _submit_chunk(
-        self, pool, forked: bool, name: str, chunk: list[Query], attempt: int
-    ) -> Future:
-        if forked:
-            return pool.submit(_answer_chunk, name, chunk, attempt)
-        return pool.submit(_execute_chunk, self._world, name, chunk, attempt)
-
     def _collect_chunk(
         self,
         pool,
-        forked: bool,
         name: str,
         chunk: list[Query],
         future: Future,
@@ -459,7 +436,7 @@ class StudyRunner:
         attempt = 1
         while True:
             try:
-                raw = future.result()
+                outcome = future.result()
             except Exception as exc:
                 if ctx is None or ctx.config.fail_fast:
                     raise ChunkExecutionError(name, chunk, exc) from exc
@@ -468,7 +445,7 @@ class StudyRunner:
                     ctx.clock.sleep(delay)
                     ctx.events.bump("chunk_retries")
                     attempt += 1
-                    future = self._submit_chunk(pool, forked, name, chunk, attempt)
+                    future = pool.submit(_answer_chunk, name, chunk, attempt)
                     continue
                 # Chunk-level retries exhausted: salvage the chunk in the
                 # parent, query by query, quarantining only what must be.
@@ -476,12 +453,10 @@ class StudyRunner:
                 return self._contained_answers(
                     name, self._world.engines[name], chunk, ctx
                 )
-            if isinstance(raw, ChunkOutcome):
-                if ctx is not None:
-                    ctx.events.merge(raw.events)
-                    ctx.quarantine.extend(raw.quarantined)
-                return raw.answers, True
-            return raw, True
+            if ctx is not None:
+                ctx.events.merge(outcome.events)
+                ctx.quarantine.extend(outcome.quarantined)
+            return outcome.answers, True
 
     def _answers_pooled(
         self, queries: list[Query], ctx: ResilienceContext | None
@@ -504,17 +479,13 @@ class StudyRunner:
 
         futures: dict[tuple[str, int], Future] = {}
         fresh: dict[tuple[str, int], tuple[list[Answer], bool]] = {}
-        with fork_inherit(self._world, self.executor, self.workers) as (
-            pool,
-            forked,
-        ):
-            self.stats.effective_executor = "process" if forked else "thread"
+        with fork_inherit(self._world, self.workers) as pool:
             for name in engines:
                 for index, chunk in enumerate(chunks):
                     if (name, index) in replayed:
                         continue
-                    futures[(name, index)] = self._submit_chunk(
-                        pool, forked, name, chunk, 1
+                    futures[(name, index)] = pool.submit(
+                        _answer_chunk, name, chunk, 1
                     )
             # Collection in submission order — not completion order —
             # is what makes the output independent of scheduling.
@@ -524,7 +495,7 @@ class StudyRunner:
                     if slot in replayed:
                         continue
                     fresh[slot] = self._collect_chunk(
-                        pool, forked, name, chunk, futures[slot], ctx
+                        pool, name, chunk, futures[slot], ctx
                     )
 
         if self._journal is not None:

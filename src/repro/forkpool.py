@@ -5,16 +5,14 @@ task would push a corpus through a pipe; ``fork`` instead snapshots the
 parent's memory copy-on-write, so the value only has to sit in a module
 global while the pool forks.  :func:`fork_inherit` is that handshake, once:
 
-* it picks the pool: a ``fork`` :class:`ProcessPoolExecutor` for
-  ``executor="process"`` where ``fork`` exists, else a
-  :class:`ThreadPoolExecutor` (with a :class:`RuntimeWarning` when a
-  process pool was asked for and ``fork`` is missing);
-* it publishes the value only for a fork pool, since threads share the
-  parent's address space and take their inputs as arguments;
+* it publishes the value, then creates a ``fork``
+  :class:`ProcessPoolExecutor`;
 * it retracts the value in ``finally`` on every path, pool-creation
   and submission failures and raising workers included, so no later
   fork can inherit a stale value.
 
+It needs the ``fork`` start method; callers check
+:func:`fork_available` first and run sequentially where it is missing.
 Worker entry points read the value through :func:`inherited`.
 :data:`_INHERITED` is conclint's one allowlisted module-global write
 (CONC001).
@@ -23,16 +21,12 @@ Worker entry points read the value through :func:`inherited`.
 from __future__ import annotations
 
 import multiprocessing
-import warnings
 from collections.abc import Iterator
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Any
 
-__all__ = ["EXECUTORS", "fork_available", "fork_inherit", "inherited"]
-
-#: Executor kinds the pooled callers accept.
-EXECUTORS = ("process", "thread")
+__all__ = ["fork_available", "fork_inherit", "inherited"]
 
 #: The value forked workers inherit; ``None`` outside :func:`fork_inherit`.
 _INHERITED: Any = None
@@ -44,46 +38,27 @@ def fork_available() -> bool:
 
 
 @contextmanager
-def fork_inherit(
-    value: Any, executor: str, workers: int
-) -> Iterator[tuple[Executor, bool]]:
-    """A ``workers``-wide pool whose forked workers inherit ``value``.
+def fork_inherit(value: Any, workers: int) -> Iterator[ProcessPoolExecutor]:
+    """A ``workers``-wide fork pool whose workers inherit ``value``.
 
-    Yields ``(pool, forked)``.  With ``forked`` true, workers read
-    ``value`` through :func:`inherited`; otherwise the pool is a thread
-    pool and the caller passes ``value`` to its tasks directly.  The
-    pool is shut down (waiting for its tasks) before the value is
-    retracted.
+    Workers read ``value`` through :func:`inherited`.  The pool is shut
+    down (waiting for its tasks) before the value is retracted.
     """
     global _INHERITED
-    forked = executor == "process" and fork_available()
-    if executor == "process" and not forked:
-        warnings.warn(
-            "fork start method unavailable; degrading from the process "
-            "executor to threads (results are identical, sharing "
-            "semantics differ)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    if forked:
-        _INHERITED = value
+    _INHERITED = value
     try:
         # Pool creation sits inside the try: if it fails (fd/process
         # limits), the value must still be retracted.
-        if forked:
-            pool: Executor = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        else:
-            pool = ThreadPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+        )
         try:
-            yield pool, forked
+            yield pool
         finally:
             pool.shutdown()
     finally:
-        if forked:
-            _INHERITED = None
+        _INHERITED = None
 
 
 def inherited() -> Any:

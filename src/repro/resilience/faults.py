@@ -7,7 +7,7 @@ places in the pipeline that can fail — ``"engine.answer"``,
 how many attempts.  Whether a given ``(site, key, attempt)`` faults is a
 pure function of the plan — selection is a :func:`derive_rng` roll over
 ``(plan seed, site, key)``, never ambient randomness — so a chaos run
-can be replayed bit-for-bit, in any process, under any executor.
+can be replayed bit-for-bit, in any process, at any worker count.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ class CircuitBreaker:
     until ``cooldown`` simulated seconds pass, after which one trial is
     allowed (half-open).  A success closes the circuit and resets the
     count.  All state transitions happen under the instance lock so the
-    thread executor can share one breaker safely.
+    serving tier's thread pool can share one breaker safely.
     """
 
     def __init__(

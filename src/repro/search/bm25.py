@@ -63,7 +63,7 @@ class BM25Scorer:
         #: ``(epoch, table)`` — term -> ``(doc_ids, gains)``, rebuilt
         #: lazily when the index epoch moves.  Published by a single
         #: attribute store (see the sharing contract): a racing rebuild
-        #: under the thread executor swaps in an identical table.
+        #: on the serving tier's thread pool swaps in an identical table.
         self._impact_table: tuple[int, dict[str, _Impacts]] | None = None
 
     def idf(self, term: str) -> float:

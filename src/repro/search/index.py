@@ -35,8 +35,9 @@ class _FrozenPostings:
     """An immutable snapshot of the index's postings at one epoch.
 
     Built entirely off to the side and published through a single
-    attribute store, so a racing rebuild under the thread executor can
-    only ever swap in an identical snapshot — never expose a torn one.
+    attribute store, so a racing rebuild on the serving tier's thread
+    pool can only ever swap in an identical snapshot — never expose a
+    torn one.
     """
 
     epoch: int

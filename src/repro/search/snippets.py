@@ -88,8 +88,8 @@ class SnippetCache:
 
     Sharing contract: the cache is an instance attribute of the world's
     :class:`~repro.search.engine.SearchEngine`; forked pool workers
-    inherit independent copies, the thread executor shares one through
-    :class:`~repro.caching.BoundedCache`'s lock.
+    inherit independent copies, the serving tier's thread pool shares
+    one through :class:`~repro.caching.BoundedCache`'s lock.
     """
 
     def __init__(self, limit: int = 8192) -> None:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -69,12 +70,12 @@ class LoadProfile:
     def __post_init__(self) -> None:
         if self.requests < 1:
             raise ValueError("requests must be at least 1")
-        if self.qps <= 0:
-            raise ValueError("qps must be positive")
-        if self.burstiness < 1.0:
-            raise ValueError("burstiness must be at least 1")
-        if self.zipf_s < 0:
-            raise ValueError("zipf_s must be non-negative")
+        if not (math.isfinite(self.qps) and self.qps > 0):
+            raise ValueError("qps must be positive and finite")
+        if not (math.isfinite(self.burstiness) and self.burstiness >= 1.0):
+            raise ValueError("burstiness must be finite and at least 1")
+        if not (math.isfinite(self.zipf_s) and self.zipf_s >= 0):
+            raise ValueError("zipf_s must be finite and non-negative")
         if self.pool_size < 1:
             raise ValueError("pool_size must be at least 1")
         for name in self.engines:

@@ -164,3 +164,31 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Replication over 2 seeds" in out
         assert "2/2  claim" in out
+
+    def test_replicate_rejects_repeated_seeds(self, capsys, monkeypatch):
+        import repro.core.replication as replication_module
+
+        def no_replicate(seeds):
+            raise AssertionError("replicated with repeated seeds")
+
+        monkeypatch.setattr(replication_module, "replicate", no_replicate)
+        assert cli_main(["replicate", "--seeds", "1", "2", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seeds must be distinct, got: 1 2 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--qps", "nan"), ("--burstiness", "inf"), ("--zipf-s", "nan")],
+    )
+    def test_serve_rejects_non_finite_profile_before_building(
+        self, flag, value, capsys, monkeypatch
+    ):
+        from repro.core.world import World
+
+        def no_build(config):
+            raise AssertionError("built a world for a bad load profile")
+
+        monkeypatch.setattr(World, "build", no_build)
+        assert cli_main(["serve", flag, value]) == 2
+        assert "bad load profile" in capsys.readouterr().err

@@ -3,10 +3,8 @@
 The query-result and snippet caches are world-level memos under the same
 sharing contract as the evidence cache (see ``repro.core.runner``): a
 warm cache must never change an experiment's output, under any worker
-count or executor, and ``render_stats`` must surface their counters.
+count, and ``render_stats`` must surface their counters.
 """
-
-import pytest
 
 from repro.core.config import StudyConfig
 from repro.core.report import render_fig1, render_fig3, render_stats
@@ -14,10 +12,8 @@ from repro.core.runner import StudyRunner
 from repro.core.study import ComparativeStudy
 
 
-def _study(world, workers, executor="process") -> ComparativeStudy:
-    return ComparativeStudy(
-        world, runner=StudyRunner(world, workers=workers, executor=executor)
-    )
+def _study(world, workers) -> ComparativeStudy:
+    return ComparativeStudy(world, runner=StudyRunner(world, workers=workers))
 
 
 class TestCacheDeterminism:
@@ -50,29 +46,14 @@ class TestCacheDeterminism:
         # Five engines revisit the same corpus pages: hits dominate.
         assert snippet_stats.hits > snippet_stats.misses
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_warm_caches_under_workers_match_sequential(
-        self, tiny_world, executor
-    ):
+    def test_warm_caches_under_workers_match_sequential(self, tiny_world):
         tiny_world.clear_caches()
         sequential = _study(tiny_world, 1).domain_overlap_ranking()
         # Caches deliberately left warm: pooled runs must agree with the
         # sequential result whether they hit or recompute.
-        pooled = _study(tiny_world, 3, executor).domain_overlap_ranking()
+        pooled = _study(tiny_world, 3).domain_overlap_ranking()
         assert sequential == pooled
         assert render_fig1(sequential) == render_fig1(pooled)
-
-    def test_thread_pool_shares_one_query_cache(self, tiny_world):
-        tiny_world.clear_caches()
-        study = _study(tiny_world, 3, "thread")
-        study.domain_overlap_ranking()
-        first = tiny_world.search_engine.query_cache_stats()
-        study.domain_overlap_ranking()
-        second = tiny_world.search_engine.query_cache_stats()
-        # The whole second pass is engine-memo or query-cache hits; the
-        # shared query cache never re-misses an analyzed query.
-        assert second.misses == first.misses
-        assert second.size == first.size
 
     def test_repro_workers_env_flows_into_config(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")

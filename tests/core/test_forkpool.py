@@ -1,7 +1,7 @@
 """The one fork handshake, checked through its caller.
 
 ``repro.forkpool.fork_inherit`` ships the study runner's world to forked
-workers: it publishes the value for a fork pool only and retracts it in
+workers: it publishes the value while the pool forks and retracts it in
 ``finally``.  A leak would pin the corpus in a module global for the
 process lifetime and hand every *later* fork a stale snapshot.  Whatever
 breaks (pool creation, task submission, a worker), the inherited global
@@ -37,8 +37,8 @@ class _RunnerCaller:
     def break_worker(self, monkeypatch):
         monkeypatch.setattr(runner_module, "_answer_chunk", _explode_chunk)
 
-    def run(self, executor="process"):
-        self.runner = StudyRunner(self.world, workers=2, executor=executor)
+    def run(self):
+        self.runner = StudyRunner(self.world, workers=2)
         return self.runner.answers(self.queries)
 
     def sequential(self):
@@ -52,18 +52,15 @@ def caller(request, tiny_world):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Record each pool ``fork_inherit`` creates and what was published
-    at that moment, as ``(kind, inherited value)`` pairs."""
+    """Record what was published as each pool ``fork_inherit`` creates."""
     created = []
-    for kind, pool_type in (
-        ("process", forkpool.ProcessPoolExecutor),
-        ("thread", forkpool.ThreadPoolExecutor),
-    ):
-        def spy(*args, _kind=kind, _type=pool_type, **kwargs):
-            created.append((_kind, forkpool._INHERITED))
-            return _type(*args, **kwargs)
+    pool_type = forkpool.ProcessPoolExecutor
 
-        monkeypatch.setattr(forkpool, pool_type.__name__, spy)
+    def spy(*args, **kwargs):
+        created.append(forkpool._INHERITED)
+        return pool_type(*args, **kwargs)
+
+    monkeypatch.setattr(forkpool, "ProcessPoolExecutor", spy)
     return created
 
 
@@ -71,7 +68,7 @@ class TestForkInherit:
     def test_retracted_after_success(self, caller, pools):
         assert caller.run() == caller.sequential()
         # Published exactly while the fork pool was created...
-        assert pools == [("process", caller.shipped())]
+        assert pools == [caller.shipped()]
         # ...and retracted once it shut down.
         assert forkpool._INHERITED is None
 
@@ -106,23 +103,18 @@ class TestForkInherit:
             caller.run()
         assert forkpool._INHERITED is None
 
-    def test_thread_executor_never_publishes(self, caller, pools):
-        # Threads share the address space: no handshake is needed, and
-        # none is published.
-        assert caller.run("thread") == caller.sequential()
-        assert pools == [("thread", None)]
-        assert forkpool._INHERITED is None
-
-    def test_no_fork_warns_and_uses_threads(self, caller, pools, monkeypatch):
-        monkeypatch.setattr(forkpool, "fork_available", lambda: False)
+    def test_no_fork_warns_and_runs_sequentially(self, caller, pools, monkeypatch):
+        monkeypatch.setattr(runner_module, "fork_available", lambda: False)
         with pytest.warns(RuntimeWarning, match="fork start method unavailable"):
-            result = caller.run("process")
+            result = caller.run()
         assert result == caller.sequential()
-        assert pools == [("thread", None)]
+        # No pool, nothing published: the sequential loop answered.
+        assert pools == []
         assert forkpool._INHERITED is None
-        assert caller.runner.stats.effective_executor == "thread"
+        assert caller.runner.workers == 1
+        assert caller.runner.stats.phases["(ad hoc)"].pool_tasks == 0
         study = ComparativeStudy(caller.world, runner=caller.runner)
-        assert "(effective: thread)" in render_stats(study)
+        assert "  runner: workers=1\n" in render_stats(study)
 
 
 def test_inherited_outside_a_fork_pool_raises():

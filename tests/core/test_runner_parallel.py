@@ -1,7 +1,7 @@
 """Parallel-vs-sequential determinism and evidence-cache behaviour.
 
-The runner's acceptance bar: for any worker count and executor kind,
-every experiment's result — object and rendered text — is byte-identical
+The runner's acceptance bar: for any worker count, every experiment's
+result — object and rendered text — is byte-identical
 to the sequential run.  The evidence cache's bar: Tables 1, 2 and 3 on a
 shared world never retrieve the same evidence context twice.
 """
@@ -19,10 +19,8 @@ def _fresh(world) -> None:
     world.clear_caches()
 
 
-def _study(world, workers, executor="process") -> ComparativeStudy:
-    return ComparativeStudy(
-        world, runner=StudyRunner(world, workers=workers, executor=executor)
-    )
+def _study(world, workers) -> ComparativeStudy:
+    return ComparativeStudy(world, runner=StudyRunner(world, workers=workers))
 
 
 class TestParallelDeterminism:
@@ -43,14 +41,6 @@ class TestParallelDeterminism:
         assert sequential == parallel
         assert renderer(sequential) == renderer(parallel)
 
-    def test_thread_executor_matches_sequential(self, tiny_world):
-        _fresh(tiny_world)
-        sequential = _study(tiny_world, 1).domain_overlap_ranking()
-        _fresh(tiny_world)
-        threaded = _study(tiny_world, 3, "thread").domain_overlap_ranking()
-        assert sequential == threaded
-        assert render_fig1(sequential) == render_fig1(threaded)
-
     def test_fig2_subsetting_survives_parallelism(self, tiny_world):
         # Fig 2 slices the answer lists by query position after the
         # fan-out, so chunk reassembly order is load-bearing here.
@@ -69,9 +59,9 @@ def _explode_chunk(engine_name, queries, attempt=1):
 class TestWorkerExceptionPropagation:
     """A raising chunk must fail fast (no resilience) and say where.
 
-    The error names the originating engine and query ids under both
-    executors; with a resilience context installed the same failure is
-    contained instead (see tests/resilience/test_containment.py).
+    The error names the originating engine and query ids; with a
+    resilience context installed the same failure is contained instead
+    (see tests/resilience/test_containment.py).
     """
 
     def _queries(self, world):
@@ -94,46 +84,11 @@ class TestWorkerExceptionPropagation:
         import repro.core.runner as runner_module
 
         monkeypatch.setattr(runner_module, "_answer_chunk", _explode_chunk)
-        runner = StudyRunner(tiny_world, workers=2, executor="process")
+        runner = StudyRunner(tiny_world, workers=2)
         queries = self._queries(tiny_world)
         with pytest.raises(runner_module.ChunkExecutionError) as excinfo:
             runner.answers(queries)
         self._assert_attributed(excinfo, tiny_world, queries)
-
-    def test_thread_executor_reports_engine_and_queries(
-        self, tiny_world, monkeypatch
-    ):
-        import repro.core.runner as runner_module
-
-        def _explode(world, engine_name, queries, attempt=1):
-            raise RuntimeError("chunk exploded")
-
-        monkeypatch.setattr(runner_module, "_execute_chunk", _explode)
-        runner = StudyRunner(tiny_world, workers=2, executor="thread")
-        queries = self._queries(tiny_world)
-        with pytest.raises(runner_module.ChunkExecutionError) as excinfo:
-            runner.answers(queries)
-        self._assert_attributed(excinfo, tiny_world, queries)
-
-
-class TestExecutorDegradation:
-    """The effective executor is recorded (the no-fork degrade itself is
-    covered for both fork-handshake callers in test_forkpool.py)."""
-
-    def _queries(self, world):
-        from repro.entities.queries import ranking_queries
-
-        return ranking_queries(world.catalog, count=4, seed=31)
-
-    def test_fork_platform_records_effective_process(self, tiny_world):
-        runner = StudyRunner(tiny_world, workers=2, executor="process")
-        runner.answers(self._queries(tiny_world))
-        assert runner.stats.effective_executor == "process"
-
-        from repro.core.report import render_stats
-
-        study = ComparativeStudy(tiny_world, runner=runner)
-        assert "(effective:" not in render_stats(study)
 
 
 class TestEvidenceCache:
@@ -262,20 +217,15 @@ class TestRunnerConfig:
         phases = runner.stats.phases["(ad hoc)"]
         assert phases.pool_tasks == 0
 
-    def test_rejects_bad_workers_and_executor(self, tiny_world):
+    def test_rejects_bad_workers(self, tiny_world):
         with pytest.raises(ValueError):
             StudyRunner(tiny_world, workers=0)
         with pytest.raises(ValueError):
-            StudyRunner(tiny_world, executor="carrier-pigeon")
-        with pytest.raises(ValueError):
             StudyConfig(workers=0)
-        with pytest.raises(ValueError):
-            StudyConfig(executor="carrier-pigeon")
 
     def test_runner_defaults_come_from_config(self, tiny_world):
         runner = StudyRunner(tiny_world)
         assert runner.workers == tiny_world.config.workers
-        assert runner.executor == tiny_world.config.executor
 
     def test_default_workers_reads_environment(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -293,7 +243,7 @@ class TestRunnerConfig:
 
 class TestRunStats:
     def test_phases_accumulate(self):
-        stats = RunStats(workers=2, executor="thread")
+        stats = RunStats(workers=2)
         with stats.phase("fig1"):
             stats.count_pool_work(queries=100, pool_tasks=10)
         with stats.phase("fig1"):

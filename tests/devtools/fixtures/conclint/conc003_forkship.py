@@ -35,7 +35,7 @@ def run_diverging(world, chunks):
 
 def run_inheriting(world, chunks):
     world.tags["phase"] = "warming"  # before the ship: fine
-    with fork_inherit(world, "process", 2) as (pool, forked):
+    with fork_inherit(world, 2) as pool:
         futures = [pool.submit(_chunk_task, chunk) for chunk in chunks]
         world.tags["phase"] = "running"  # expect[CONC003]
     world.tags["phase"] = "done"  # after the block retracted it: fine

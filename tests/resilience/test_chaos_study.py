@@ -30,7 +30,7 @@ from repro.resilience import (
 def _run(world, experiment="fig1", workers=1):
     """One cold experiment run; returns (rendered text, study)."""
     world.clear_caches()
-    runner = StudyRunner(world, workers=workers, executor="process")
+    runner = StudyRunner(world, workers=workers)
     study = ComparativeStudy(world, runner=runner)
     _, text = run_experiment(experiment, world, study=study)
     return text, study

@@ -44,12 +44,9 @@ def boom_world(chaos_world, queries):
     del chaos_world.engines["Boom"]
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_buggy_engine_is_quarantined_pool_survives(
-    boom_world, queries, executor
-):
+def test_buggy_engine_is_quarantined_pool_survives(boom_world, queries):
     ctx = boom_world.resilience
-    runner = StudyRunner(boom_world, workers=2, executor=executor)
+    runner = StudyRunner(boom_world, workers=2)
     answers = runner.answers(queries)
 
     # The broken query degraded; every other (engine, query) completed.
@@ -91,6 +88,6 @@ def test_fail_fast_restores_propagation(boom_world, queries):
     boom_world.install_resilience(
         ResilienceContext(ResilienceConfig(fail_fast=True))
     )
-    runner = StudyRunner(boom_world, workers=2, executor="process")
+    runner = StudyRunner(boom_world, workers=2)
     with pytest.raises(ChunkExecutionError, match="boom"):
         runner.answers(queries)

@@ -1,6 +1,7 @@
 """The load generator's determinism and distribution shape."""
 
 import collections
+import math
 
 import pytest
 
@@ -112,6 +113,10 @@ class TestGenerateRequests:
             LoadProfile(qps=0.0)
         with pytest.raises(ValueError):
             LoadProfile(burstiness=0.5)
+        for field in ("qps", "burstiness", "zipf_s"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=field):
+                    LoadProfile(**{field: value})
         with pytest.raises(ValueError):
             LoadProfile(engines=("AltaVista",))
         with pytest.raises(ValueError):
